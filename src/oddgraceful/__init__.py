@@ -6,21 +6,15 @@ odd value 1, 3, ..., 2q-1 exactly once. This package builds such labelings
 for the disjoint union of an even cycle C_m and a path P_n by two independent
 routes, checks arbitrary labelings against the definition, and exhaustively
 searches small graphs for certificates or nonexistence proofs.
+
+A labeling is a tuple of ints in the topology's vertex order (u1..um, then
+v1..vn). Everything else lives in the submodules.
 """
 
 from .construction import (
     ConstructionParams,
-    Markers,
-    PassResult,
     algorithmic_labeling,
     closed_form_labeling,
-    cycle_pass,
-    force_params,
-    init_markers,
-    label_cycle_vertices,
-    label_path_vertices,
-    min_path_length,
-    path_pass,
     validate_params,
 )
 from .errors import (
@@ -34,41 +28,9 @@ from .errors import (
     PathTooShortError,
     SelfLoopError,
 )
-from .graphs import (
-    Edge,
-    EdgeLabelMap,
-    GraphTopology,
-    Labeling,
-    VertexId,
-    VertexKind,
-    adjacency,
-    build_free_graph,
-    build_union_graph,
-    canonical_edge,
-    cycle_vertex,
-    free_vertex,
-    path_vertex,
-)
-from .graphspec import GraphSpec, SpecTerm, TermKind, parse_graph_spec, topology_from_spec
-from .search import (
-    SearchBudget,
-    SearchOutcome,
-    SearchStats,
-    SearchStatus,
-    assignment_order,
-    exhaustive_search,
-)
-from .verification import (
-    DuplicateEdgeLabel,
-    DuplicateVertexLabel,
-    EdgeLabelEven,
-    EdgeLabelSetIncomplete,
-    VerificationReport,
-    VertexLabelOutOfRange,
-    complement_labeling,
-    edge_labels,
-    verify_odd_graceful,
-)
+from .graphs import GraphTopology, Labeling, build_union_graph
+from .search import SearchBudget, SearchOutcome, SearchStatus, exhaustive_search
+from .verification import VerificationReport, verify_odd_graceful
 
 __version__ = "0.1.0"
 
@@ -76,56 +38,23 @@ __all__ = [
     "ConstructionParams",
     "CycleTooSmallError",
     "DocumentError",
-    "DuplicateEdgeLabel",
-    "DuplicateVertexLabel",
-    "Edge",
-    "EdgeLabelEven",
-    "EdgeLabelMap",
-    "EdgeLabelSetIncomplete",
     "EmptyGraphError",
-    "GraphSpec",
     "GraphSpecError",
     "GraphTopology",
     "Labeling",
-    "Markers",
     "MissingVertexLabelError",
     "OddCycleError",
     "OddGracefulError",
-    "PassResult",
     "PathTooShortError",
     "SearchBudget",
     "SearchOutcome",
-    "SearchStats",
     "SearchStatus",
     "SelfLoopError",
-    "SpecTerm",
-    "TermKind",
     "VerificationReport",
-    "VertexId",
-    "VertexKind",
-    "VertexLabelOutOfRange",
-    "adjacency",
     "algorithmic_labeling",
-    "assignment_order",
-    "build_free_graph",
     "build_union_graph",
-    "canonical_edge",
     "closed_form_labeling",
-    "complement_labeling",
-    "cycle_pass",
-    "cycle_vertex",
-    "edge_labels",
     "exhaustive_search",
-    "force_params",
-    "free_vertex",
-    "init_markers",
-    "label_cycle_vertices",
-    "label_path_vertices",
-    "min_path_length",
-    "parse_graph_spec",
-    "path_pass",
-    "path_vertex",
-    "topology_from_spec",
     "validate_params",
     "verify_odd_graceful",
 ]

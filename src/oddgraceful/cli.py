@@ -1,8 +1,8 @@
 """Command-line interface: generate, verify, search, and bench.
 
-Exit codes: 0 success (or labeling found), 1 verification failure or invalid
-parameters, 2 search exhausted with no labeling, 3 search budget exhausted,
-64 usage or parse errors.
+Exit codes: 0 success (or labeling found), 1 verification failure, invalid
+parameters or an input too large to process, 2 search exhausted with no
+labeling, 3 search budget exhausted, 64 usage or parse errors.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ def _cmd_verify(args) -> int:
     if args.json:
         print(json.dumps(report_to_dict(report, topology.q), indent=2))
     elif report.is_odd_graceful:
-        print(f"odd graceful: yes ({len(topology.vertices)} vertices, q={topology.q})")
+        print(f"odd graceful: yes ({len(topology.names)} vertices, q={topology.q})")
     else:
         print(f"odd graceful: NO ({_count(report.violations)})")
         for violation in report.violations:
@@ -197,8 +197,8 @@ def _cmd_search(args) -> int:
     print(f"assignments tried: {outcome.stats.assignments_tried}")
     if outcome.labeling is not None:
         print("certificate (verifier-checked):")
-        for vertex in topology.vertices:
-            print(f"  {vertex} = {outcome.labeling[vertex]}")
+        for name, label in zip(topology.names, outcome.labeling):
+            print(f"  {name} = {label}")
     return {
         SearchStatus.FOUND: EXIT_OK,
         SearchStatus.EXHAUSTED_NONE: EXIT_NONE,
@@ -248,6 +248,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except OddGracefulError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except RecursionError:
+        print("error: input too large: recursion limit exceeded", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError:
+        print("error: input too large: out of memory", file=sys.stderr)
         return EXIT_INVALID
 
 

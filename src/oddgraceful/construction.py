@@ -17,62 +17,47 @@ pointwise -- the test suite enforces that equivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .errors import CycleTooSmallError, OddCycleError, PathTooShortError
-from .graphs import Labeling, VertexId, cycle_vertex, path_vertex
+from .graphs import Labeling, check_union_size
 
 
 @dataclass(frozen=True)
 class ConstructionParams:
-    """A cycle/path size pair with its derived quantities.
+    """A gated cycle/path size pair; build it with :func:`validate_params`.
 
     m: cycle length (even, at least 4)
     n: path length
-    q: edge count, m + n - 1
-    k: half the cycle length
     """
 
     m: int
     n: int
-    q: int
-    k: int
 
-    def __post_init__(self):
-        if self.m % 2 or self.m < 4:
-            raise ValueError(f"m must be even and at least 4, got {self.m}")
-        if self.n < 1:
-            raise ValueError(f"n must be at least 1, got {self.n}")
-        if self.q != self.m + self.n - 1:
-            raise ValueError(f"q must equal m + n - 1, got {self.q}")
-        if self.k * 2 != self.m:
-            raise ValueError(f"k must equal m / 2, got {self.k}")
+    @property
+    def q(self) -> int:
+        """Edge count, m + n - 1."""
+        return self.m + self.n - 1
+
+    @property
+    def k(self) -> int:
+        """Half the cycle length."""
+        return self.m // 2
 
 
 def min_path_length(m: int) -> int:
-    """Smallest n for which the construction stays injective at cycle length m.
+    """Smallest n for which this construction stays injective at cycle length m.
 
     The even path labels descend toward the even cycle labels; requiring the
     smallest of the former to clear m - 2 (the largest of the latter) gives
-    n >= m - 1 when k is even and n >= m - 3 when k is odd.
+    n >= m - 1 when k is even and n >= m - 3 when k is odd. Below it the
+    construction fails, but the graph may still be odd graceful.
     """
     return m - 1 if (m // 2) % 2 == 0 else m - 3
 
 
 def validate_params(m: int, n: int) -> ConstructionParams:
-    """Gate a (m, n) pair for construction; this is the only validation gate."""
-    if m % 2:
-        raise OddCycleError(
-            f"cycle length {m} is odd; graphs with an odd cycle are never odd graceful"
-        )
-    if m < 4:
-        raise CycleTooSmallError(f"cycle length must be at least 4, got {m}")
-    required = min_path_length(m)
-    if n < required:
-        raise PathTooShortError(
-            f"C{m}+P{n} is out of range: need n >= {required}", required=required
-        )
-    return ConstructionParams(m=m, n=n, q=m + n - 1, k=m // 2)
+    """Gate a (m, n) pair for construction, path-length bound included."""
+    check_union_size(m, n, min_path_length(m))
+    return ConstructionParams(m=m, n=n)
 
 
 def force_params(m: int, n: int) -> ConstructionParams:
@@ -82,15 +67,8 @@ def force_params(m: int, n: int) -> ConstructionParams:
     show exactly where the construction breaks. Odd or undersized cycles are
     still rejected: there is nothing to construct for them.
     """
-    if m % 2:
-        raise OddCycleError(
-            f"cycle length {m} is odd; graphs with an odd cycle are never odd graceful"
-        )
-    if m < 4:
-        raise CycleTooSmallError(f"cycle length must be at least 4, got {m}")
-    if n < 1:
-        raise PathTooShortError(f"path length must be at least 1, got {n}", required=1)
-    return ConstructionParams(m=m, n=n, q=m + n - 1, k=m // 2)
+    check_union_size(m, n, 1)
+    return ConstructionParams(m=m, n=n)
 
 
 @dataclass(frozen=True)
@@ -115,14 +93,14 @@ def init_markers(params: ConstructionParams) -> Markers:
     )
 
 
-def label_cycle_vertices(params: ConstructionParams) -> dict[VertexId, int]:
+def label_cycle_vertices(params: ConstructionParams) -> Labeling:
     """Closed-form labels for u_1..u_m.
 
     Odd positions carry 0, 2, 4, ...; even positions carry 2q-1, 2q-3, ...;
     u_m is the exception at 2q - 2m + 3.
     """
     q, m = params.q, params.m
-    labels: dict[VertexId, int] = {}
+    labels: list[int] = []
     for i in range(1, m + 1):
         if i == m:
             value = 2 * q - 2 * m + 3
@@ -130,11 +108,11 @@ def label_cycle_vertices(params: ConstructionParams) -> dict[VertexId, int]:
             value = i - 1
         else:
             value = 2 * q - (i - 1)
-        labels[cycle_vertex(i)] = value
-    return labels
+        labels.append(value)
+    return tuple(labels)
 
 
-def label_path_vertices(params: ConstructionParams) -> dict[VertexId, int]:
+def label_path_vertices(params: ConstructionParams) -> Labeling:
     """Closed-form labels for v_1..v_n; the formulas split on the parity of k.
 
     Odd positions carry small odd labels ascending from 1, even positions
@@ -144,40 +122,31 @@ def label_path_vertices(params: ConstructionParams) -> dict[VertexId, int]:
     the cycle edge u_{m-1}u_m.
     """
     q, m, n, k = params.q, params.m, params.n, params.k
-    labels: dict[VertexId, int] = {}
+    labels: list[int] = []
     if k % 2:
         for i in range(1, n + 1):
             if i % 2:
-                labels[path_vertex(i)] = i if i <= k - 2 else i + 2
+                labels.append(i if i <= k - 2 else i + 2)
             else:
-                labels[path_vertex(i)] = 2 * q - 2 * m - (i - 4)
+                labels.append(2 * q - 2 * m - (i - 4))
     else:
         for i in range(1, n + 1):
             if i % 2:
-                labels[path_vertex(i)] = i
+                labels.append(i)
             elif i <= k - 2:
-                labels[path_vertex(i)] = 2 * q - 2 * m + 4 - i
+                labels.append(2 * q - 2 * m + 4 - i)
             else:
-                labels[path_vertex(i)] = 2 * q - 2 * m + 2 - i
-    return labels
+                labels.append(2 * q - 2 * m + 2 - i)
+    return tuple(labels)
 
 
 def closed_form_labeling(params: ConstructionParams) -> Labeling:
     """Full labeling by direct formula evaluation (cycle labels, then path labels)."""
-    labels = label_cycle_vertices(params)
-    labels.update(label_path_vertices(params))
-    return Labeling(labels)
+    return label_cycle_vertices(params) + label_path_vertices(params)
 
 
-class PassResult(NamedTuple):
-    """One pass's vertex labels plus the edge labels it realizes, in edge order."""
-
-    vertex_labels: dict[VertexId, int]
-    edge_labels: tuple[int, ...]
-
-
-def cycle_pass(params: ConstructionParams, markers: Markers) -> PassResult:
-    """Label u_1..u_m by walking the cycle once.
+def cycle_pass(params: ConstructionParams, markers: Markers) -> tuple[Labeling, tuple[int, ...]]:
+    """Label u_1..u_m by walking the cycle once; returns (vertex labels, edge labels).
 
     Odd positions step +2 from u_1 = 0, even positions count down from 2q-1,
     and u_m takes the active marker; edge labels are the absolute differences
@@ -185,22 +154,19 @@ def cycle_pass(params: ConstructionParams, markers: Markers) -> PassResult:
     :func:`label_cycle_vertices`.
     """
     q, m = params.q, params.m
-    labels: dict[VertexId, int] = {cycle_vertex(1): 0}
-    for i in range(3, m, 2):
-        labels[cycle_vertex(i)] = labels[cycle_vertex(i - 2)] + 2
+    labels = [0] * m
+    # 0-based: even indices hold u_1, u_3, ..., odd indices u_2, u_4, ...
     for i in range(2, m, 2):
-        labels[cycle_vertex(i)] = 2 * q - i + 1
-    labels[cycle_vertex(m)] = markers.active_vertex_label
-    edge_values = [
-        abs(labels[cycle_vertex(i)] - labels[cycle_vertex(i + 1)]) for i in range(1, m)
-    ]
-    edge_values.append(abs(labels[cycle_vertex(m)] - labels[cycle_vertex(1)]))
-    ordered = {cycle_vertex(i): labels[cycle_vertex(i)] for i in range(1, m + 1)}
-    return PassResult(ordered, tuple(edge_values))
+        labels[i] = labels[i - 2] + 2
+    for i in range(1, m - 1, 2):
+        labels[i] = 2 * q - i
+    labels[m - 1] = markers.active_vertex_label
+    edge_values = tuple(abs(labels[i] - labels[(i + 1) % m]) for i in range(m))
+    return tuple(labels), edge_values
 
 
-def path_pass(params: ConstructionParams, markers: Markers) -> PassResult:
-    """Label v_1..v_n and the path edges in one sweep.
+def path_pass(params: ConstructionParams, markers: Markers) -> tuple[Labeling, tuple[int, ...]]:
+    """Label v_1..v_n and the path edges in one sweep; returns (vertex labels, edge labels).
 
     Edge labels descend by 2 from the active marker; when the descent would
     land on the double-jump value it steps by 4 instead (this fires at most
@@ -209,7 +175,7 @@ def path_pass(params: ConstructionParams, markers: Markers) -> PassResult:
     positions small and odd, even positions large and even. Pointwise
     identical to :func:`label_path_vertices`.
     """
-    labels: dict[VertexId, int] = {path_vertex(1): 1}
+    labels = [1]
     edge_values: list[int] = []
     # auxiliary edge value ahead of the first real path edge
     previous = markers.active_vertex_label
@@ -217,25 +183,20 @@ def path_pass(params: ConstructionParams, markers: Markers) -> PassResult:
         value = previous - 2
         if value == markers.double_jump_edge_label:
             value -= 2
-        if j % 2:
-            labels[path_vertex(j + 1)] = labels[path_vertex(j)] + value
-        else:
-            labels[path_vertex(j + 1)] = labels[path_vertex(j)] - value
+        labels.append(labels[-1] + value if j % 2 else labels[-1] - value)
         edge_values.append(value)
         previous = value
-    return PassResult(labels, tuple(edge_values))
+    return tuple(labels), tuple(edge_values)
 
 
 def algorithmic_labeling(params: ConstructionParams) -> Labeling:
     """Marker initialization, then the cycle and path passes.
 
     The two passes share nothing beyond the markers, so they may run in
-    either order (or concurrently); the merged result equals
+    either order (or concurrently); the concatenated result equals
     :func:`closed_form_labeling` exactly.
     """
     markers = init_markers(params)
-    cycle = cycle_pass(params, markers)
-    path = path_pass(params, markers)
-    merged = dict(cycle.vertex_labels)
-    merged.update(path.vertex_labels)
-    return Labeling(merged)
+    cycle_labels, _ = cycle_pass(params, markers)
+    path_labels, _ = path_pass(params, markers)
+    return cycle_labels + path_labels

@@ -33,7 +33,7 @@ class EmptyGraphError(OddGracefulError):
 
 
 class MissingVertexLabelError(OddGracefulError):
-    """A labeling does not cover every vertex of its topology."""
+    """A labeling does not hold exactly one label per vertex of its topology."""
 
 
 class GraphSpecError(OddGracefulError):

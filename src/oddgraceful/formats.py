@@ -12,36 +12,26 @@ Output is byte-identical across runs for identical inputs.
 from __future__ import annotations
 
 import json
+import re
 
-from .errors import DocumentError
-from .graphs import (
-    Edge,
-    GraphTopology,
-    Labeling,
-    VertexId,
-    canonical_edge,
-)
-from .verification import (
-    DuplicateEdgeLabel,
-    DuplicateVertexLabel,
-    EdgeLabelEven,
-    EdgeLabelSetIncomplete,
-    VerificationReport,
-    VertexLabelOutOfRange,
-    edge_labels,
-)
+from .errors import DocumentError, OddGracefulError
+from .graphs import GraphTopology, Labeling, build_union_graph
+from .verification import VerificationReport, edge_labels
+
+_VERTEX_ID = re.compile(r"[uvw][1-9][0-9]*")
 
 
 def labeling_document(topology: GraphTopology, labeling: Labeling) -> dict:
     """Build the JSON-ready document for a labeled topology."""
+    names = topology.names
     induced = edge_labels(topology, labeling)
     return {
         "graph": {"m": topology.m, "n": topology.n},
         "q": topology.q,
-        "vertices": [{"id": str(v), "label": labeling[v]} for v in topology.vertices],
+        "vertices": [{"id": name, "label": label} for name, label in zip(names, labeling)],
         "edges": [
-            {"from": str(a), "to": str(b), "label": value}
-            for (a, b), value in induced.labels
+            {"from": names[a], "to": names[b], "label": value}
+            for (a, b), value in zip(topology.edges, induced)
         ],
     }
 
@@ -63,17 +53,19 @@ def _want_int(value, context: str) -> int:
     return value
 
 
-def _want_vertex(value, context: str) -> VertexId:
+def _want_str(value, context: str) -> str:
     if not isinstance(value, str):
         raise DocumentError(f"{context}: expected a vertex id string, got {value!r}")
-    try:
-        return VertexId.parse(value)
-    except ValueError as exc:
-        raise DocumentError(f"{context}: {exc}") from None
+    return value
 
 
 def parse_labeling_document(text: str) -> tuple[GraphTopology, Labeling]:
-    """Parse a JSON labeling document back into a topology and labeling."""
+    """Parse a JSON labeling document back into a topology and labeling.
+
+    Vertices keep their listed order. A document that names a union graph
+    (``graph.m`` or ``graph.n`` non-zero) must list exactly the topology of
+    ``C_m + P_n``.
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -92,55 +84,65 @@ def parse_labeling_document(text: str) -> tuple[GraphTopology, Labeling]:
     raw_vertices = _want(raw, "vertices", "document")
     if not isinstance(raw_vertices, list) or not raw_vertices:
         raise DocumentError("document needs a non-empty 'vertices' list")
-    vertices: list[VertexId] = []
-    assignment: dict[VertexId, int] = {}
-    for position, entry in enumerate(raw_vertices):
-        context = f"vertices[{position}]"
-        vertex = _want_vertex(_want(entry, "id", context), context)
+    position: dict[str, int] = {}
+    labels: list[int] = []
+    for index, entry in enumerate(raw_vertices):
+        context = f"vertices[{index}]"
+        name = _want_str(_want(entry, "id", context), context)
+        if not _VERTEX_ID.fullmatch(name):
+            raise DocumentError(f"{context}: malformed vertex id {name!r}")
         label = _want_int(_want(entry, "label", context), f"{context}.label")
         if label < 0:
             raise DocumentError(f"{context}: label must be non-negative, got {label}")
-        if vertex in assignment:
-            raise DocumentError(f"{context}: duplicate vertex id {vertex}")
-        vertices.append(vertex)
-        assignment[vertex] = label
+        if name in position:
+            raise DocumentError(f"{context}: duplicate vertex id {name}")
+        position[name] = index
+        labels.append(label)
 
     raw_edges = _want(raw, "edges", "document")
     if not isinstance(raw_edges, list) or not raw_edges:
         raise DocumentError("document needs a non-empty 'edges' list")
-    edges: list[Edge] = []
-    seen: set[Edge] = set()
-    for position, entry in enumerate(raw_edges):
-        context = f"edges[{position}]"
-        a = _want_vertex(_want(entry, "from", context), context)
-        b = _want_vertex(_want(entry, "to", context), context)
+    edges: dict[tuple[int, int], None] = {}
+    for index, entry in enumerate(raw_edges):
+        context = f"edges[{index}]"
+        a = _want_str(_want(entry, "from", context), context)
+        b = _want_str(_want(entry, "to", context), context)
         if a == b:
             raise DocumentError(f"{context}: self-loop at {a}")
-        if a not in assignment or b not in assignment:
+        if a not in position or b not in position:
             raise DocumentError(f"{context}: edge references an unknown vertex")
-        edge = canonical_edge(a, b)
-        if edge in seen:
+        i, j = sorted((position[a], position[b]))
+        if (i, j) in edges:
             raise DocumentError(f"{context}: duplicate edge {a}-{b}")
-        seen.add(edge)
-        edges.append(edge)
+        edges[i, j] = None
 
     q = _want_int(_want(raw, "q", "document"), "q")
     if q != len(edges):
         raise DocumentError(f"document says q={q} but lists {len(edges)} edges")
 
-    topology = GraphTopology(
-        vertices=tuple(vertices), edges=tuple(edges), m=m, n=n, q=q
-    )
-    return topology, Labeling(assignment)
+    topology = GraphTopology(names=tuple(position), edges=tuple(edges), m=m, n=n)
+    if m or n:
+        try:
+            # the size check comes first, so a huge m or n is never built
+            matches = len(position) == m + n and topology == build_union_graph(m, n)
+        except OddGracefulError as exc:
+            raise DocumentError(f"graph m={m}, n={n}: {exc}") from None
+        if not matches:
+            raise DocumentError(
+                f"graph m={m}, n={n}: the listed vertices and edges are not C{m}+P{n}"
+            )
+    return topology, tuple(labels)
 
 
 def to_dot(topology: GraphTopology, labeling: Labeling) -> str:
     """Undirected DOT text; node display is ``id:label``, edges carry their label."""
+    names = topology.names
     induced = edge_labels(topology, labeling)
     lines = ["graph G {"]
-    lines.extend(f'  {v} [label="{v}:{labeling[v]}"];' for v in topology.vertices)
+    lines.extend(f'  {name} [label="{name}:{label}"];' for name, label in zip(names, labeling))
     lines.extend(
-        f"  {a} -- {b} [label={value}];" for (a, b), value in induced.labels
+        f"  {names[a]} -- {names[b]} [label={value}];"
+        for (a, b), value in zip(topology.edges, induced)
     )
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -148,46 +150,26 @@ def to_dot(topology: GraphTopology, labeling: Labeling) -> str:
 
 def to_csv(topology: GraphTopology, labeling: Labeling) -> str:
     """Vertex section then edge section; edges are numbered e1..eq in edge order."""
+    names = topology.names
     induced = edge_labels(topology, labeling)
     lines = ["vertex,label"]
-    lines.extend(f"{v},{labeling[v]}" for v in topology.vertices)
+    lines.extend(f"{name},{label}" for name, label in zip(names, labeling))
     lines.append("edge,from,to,label")
     lines.extend(
-        f"e{index},{a},{b},{value}"
-        for index, ((a, b), value) in enumerate(induced.labels, start=1)
+        f"e{index},{names[a]},{names[b]},{value}"
+        for index, ((a, b), value) in enumerate(zip(topology.edges, induced), start=1)
     )
     return "\n".join(lines) + "\n"
 
 
+def _plain(value):
+    return [_plain(item) for item in value] if isinstance(value, tuple) else value
+
+
 def violation_to_dict(violation) -> dict:
-    if isinstance(violation, DuplicateVertexLabel):
-        return {
-            "kind": "DuplicateVertexLabel",
-            "label": violation.label,
-            "vertices": [str(v) for v in violation.vertices],
-        }
-    if isinstance(violation, VertexLabelOutOfRange):
-        return {
-            "kind": "VertexLabelOutOfRange",
-            "vertex": str(violation.vertex),
-            "label": violation.label,
-            "upper": violation.upper,
-        }
-    if isinstance(violation, EdgeLabelEven):
-        return {
-            "kind": "EdgeLabelEven",
-            "edge": [str(violation.edge[0]), str(violation.edge[1])],
-            "label": violation.label,
-        }
-    if isinstance(violation, DuplicateEdgeLabel):
-        return {
-            "kind": "DuplicateEdgeLabel",
-            "label": violation.label,
-            "edges": [[str(a), str(b)] for a, b in violation.edges],
-        }
-    if isinstance(violation, EdgeLabelSetIncomplete):
-        return {"kind": "EdgeLabelSetIncomplete", "missing": list(violation.missing)}
-    raise TypeError(f"unknown violation type {type(violation).__name__}")
+    """The violation's kind, then its fields in declaration order."""
+    fields = {key: _plain(value) for key, value in vars(violation).items()}
+    return {"kind": type(violation).__name__, **fields}
 
 
 def report_to_dict(report: VerificationReport, q: int) -> dict:

@@ -1,18 +1,18 @@
-"""Graph topologies and labeling containers shared by all other modules.
+"""Graph topologies and the (m, n) gate shared by all other modules.
 
-Vertices are 1-indexed and carry a kind: cycle vertices render as ``u1..um``,
-path vertices as ``v1..vn``, and free vertices (arbitrary graphs fed to the
-search oracle) as ``w1, w2, ...``. Edges are unordered pairs stored with the
-smaller endpoint first; the edge *list* keeps construction order (cycle edges
-first, then path edges), so repeated builds with equal inputs are identical.
+A topology lists its vertices in one canonical order and refers to them by
+position everywhere: edges are ``(i, j)`` index pairs with ``i < j`` and a
+labeling is a tuple of ints in vertex order. Vertex names exist only for
+text: cycle vertices are ``u1..um``, path vertices ``v1..vn``, and free
+vertices (arbitrary graphs fed to the search oracle) ``w1, w2, ...``. The
+edge list keeps construction order (cycle edges first, then path edges), so
+repeated builds with equal inputs are identical.
 """
 
 from __future__ import annotations
 
-import enum
-import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable
 
 from .errors import (
     CycleTooSmallError,
@@ -22,118 +22,39 @@ from .errors import (
     SelfLoopError,
 )
 
-
-class VertexKind(enum.IntEnum):
-    """Vertex families; the numeric order fixes the canonical vertex order."""
-
-    CYCLE = 0
-    PATH = 1
-    FREE = 2
-
-    @property
-    def prefix(self) -> str:
-        return "uvw"[self.value]
-
-
-class VertexId(NamedTuple):
-    kind: VertexKind
-    index: int
-
-    def __str__(self) -> str:
-        return f"{self.kind.prefix}{self.index}"
-
-    @classmethod
-    def parse(cls, text: str) -> "VertexId":
-        match = re.fullmatch(r"([uvw])([1-9][0-9]*)", text)
-        if match is None:
-            raise ValueError(f"malformed vertex id {text!r}")
-        kind = {"u": VertexKind.CYCLE, "v": VertexKind.PATH, "w": VertexKind.FREE}
-        return cls(kind[match.group(1)], int(match.group(2)))
-
-
-def cycle_vertex(index: int) -> VertexId:
-    return VertexId(VertexKind.CYCLE, index)
-
-
-def path_vertex(index: int) -> VertexId:
-    return VertexId(VertexKind.PATH, index)
-
-
-def free_vertex(index: int) -> VertexId:
-    return VertexId(VertexKind.FREE, index)
-
-
-Edge = tuple[VertexId, VertexId]
-
-
-def canonical_edge(a: VertexId, b: VertexId) -> Edge:
-    """Order an edge's endpoints so equal edges compare equal."""
-    return (a, b) if a <= b else (b, a)
+# One label per vertex, in the topology's vertex order. Injectivity is the
+# verifier's concern, so invalid candidates are representable on purpose.
+Labeling = tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class GraphTopology:
     """Immutable vertex/edge structure; ``m`` and ``n`` are 0 for free graphs."""
 
-    vertices: tuple[VertexId, ...]
-    edges: tuple[Edge, ...]
+    names: tuple[str, ...]
+    edges: tuple[tuple[int, int], ...]
     m: int
     n: int
-    q: int
 
     def __post_init__(self):
-        vertex_set = set(self.vertices)
-        if len(vertex_set) != len(self.vertices):
-            raise ValueError("duplicate vertex ids in topology")
-        seen: set[Edge] = set()
+        if len(set(self.names)) != len(self.names):
+            raise ValueError("duplicate vertex names in topology")
+        if len(set(self.edges)) != len(self.edges):
+            raise ValueError("duplicate edge in topology")
         for a, b in self.edges:
-            if a == b:
-                raise SelfLoopError(f"self-loop at vertex {a}")
-            if b < a:
-                raise ValueError(f"edge ({a}, {b}) endpoints not in canonical order")
-            if a not in vertex_set or b not in vertex_set:
-                raise ValueError(f"edge ({a}, {b}) references a vertex outside the topology")
-            if (a, b) in seen:
-                raise ValueError(f"duplicate edge ({a}, {b})")
-            seen.add((a, b))
-        if self.q != len(self.edges):
-            raise ValueError(f"q={self.q} does not match {len(self.edges)} edges")
+            if not 0 <= a < b < len(self.names):
+                raise ValueError(f"edge ({a}, {b}) is not an index pair i < j into the vertices")
+
+    @property
+    def q(self) -> int:
+        return len(self.edges)
 
 
-@dataclass(frozen=True)
-class Labeling:
-    """A vertex -> label assignment; injectivity is the verifier's concern,
+def check_union_size(m: int, n: int, required: int) -> None:
+    """The one gate for C_m + P_n sizes: m even and at least 4, n >= ``required``.
 
-    so invalid candidates are representable on purpose.
-    """
-
-    assignment: Mapping[VertexId, int]
-
-    def __getitem__(self, vertex: VertexId) -> int:
-        return self.assignment[vertex]
-
-    def __contains__(self, vertex: VertexId) -> bool:
-        return vertex in self.assignment
-
-
-@dataclass(frozen=True)
-class EdgeLabelMap:
-    """Induced edge labels, one entry per edge in topology edge order."""
-
-    labels: tuple[tuple[Edge, int], ...]
-
-    def values(self) -> tuple[int, ...]:
-        return tuple(value for _, value in self.labels)
-
-
-def build_union_graph(m: int, n: int) -> GraphTopology:
-    """Build the disjoint union of an even cycle on ``m`` vertices and a path on ``n``.
-
-    Vertices are ordered u1..um then v1..vn; edges are the m cycle edges
-    (u1u2, ..., u(m-1)um, umu1) followed by the n-1 path edges. Only the
-    topology-level constraints are enforced here (m even and at least 4,
-    n at least 1); the constructor applies its stronger path-length bound,
-    so out-of-range instances remain representable for study.
+    ``required`` is 1 for the topology itself and the construction's
+    ``min_path_length(m)`` when its bound applies.
     """
     if m % 2:
         raise OddCycleError(
@@ -141,46 +62,58 @@ def build_union_graph(m: int, n: int) -> GraphTopology:
         )
     if m < 4:
         raise CycleTooSmallError(f"cycle length must be at least 4, got {m}")
-    if n < 1:
-        raise PathTooShortError(f"path length must be at least 1, got {n}", required=1)
-    cycle = [cycle_vertex(i) for i in range(1, m + 1)]
-    path = [path_vertex(j) for j in range(1, n + 1)]
-    edges: list[Edge] = [(cycle[i], cycle[i + 1]) for i in range(m - 1)]
-    edges.append(canonical_edge(cycle[m - 1], cycle[0]))
-    edges.extend((path[j], path[j + 1]) for j in range(n - 1))
-    return GraphTopology(
-        vertices=tuple(cycle + path), edges=tuple(edges), m=m, n=n, q=m + n - 1
-    )
+    if n < required:
+        if required == 1:
+            message = f"path length must be at least 1, got {n}"
+        else:
+            message = (
+                f"C{m}+P{n} is out of range for this construction: need n >= {required}"
+                " (the bound limits the construction, not odd gracefulness;"
+                " search may still find a labeling)"
+            )
+        raise PathTooShortError(message, required=required)
+
+
+def build_union_graph(m: int, n: int) -> GraphTopology:
+    """Build the disjoint union of an even cycle on ``m`` vertices and a path on ``n``.
+
+    Vertices are ordered u1..um then v1..vn; edges are the m cycle edges
+    (u1u2, ..., u(m-1)um, u1um) followed by the n-1 path edges. Only the
+    topology-level constraints are enforced here (m even and at least 4,
+    n at least 1); the constructor applies its stronger path-length bound,
+    so out-of-range instances remain representable for study.
+    """
+    check_union_size(m, n, 1)
+    names = [f"u{i}" for i in range(1, m + 1)]
+    names.extend(f"v{j}" for j in range(1, n + 1))
+    edges = [(i, i + 1) for i in range(m - 1)]
+    edges.append((0, m - 1))
+    edges.extend((j, j + 1) for j in range(m, m + n - 1))
+    return GraphTopology(names=tuple(names), edges=tuple(edges), m=m, n=n)
 
 
 def build_free_graph(edge_list: Iterable[tuple[int, int]]) -> GraphTopology:
     """Build a topology over free vertices from 1-based index pairs.
 
     Duplicate edges collapse (endpoint order ignored); edge order follows
-    first occurrence. This is the input path for arbitrary small graphs
-    handed to the search oracle.
+    first occurrence. Vertices are the distinct endpoints in ascending order.
+    This is the input path for arbitrary small graphs handed to the search
+    oracle.
     """
-    edges: list[Edge] = []
-    seen: set[Edge] = set()
+    pairs: dict[tuple[int, int], None] = {}
     for a, b in edge_list:
         if a < 1 or b < 1:
             raise ValueError(f"vertex indices must be positive, got ({a}, {b})")
         if a == b:
             raise SelfLoopError(f"self-loop at vertex {a}")
-        edge = canonical_edge(free_vertex(a), free_vertex(b))
-        if edge not in seen:
-            seen.add(edge)
-            edges.append(edge)
-    if not edges:
+        pairs.setdefault((min(a, b), max(a, b)))
+    if not pairs:
         raise EmptyGraphError("a labeling problem needs at least one edge")
-    vertices = tuple(sorted({v for edge in edges for v in edge}))
-    return GraphTopology(vertices=vertices, edges=tuple(edges), m=0, n=0, q=len(edges))
-
-
-def adjacency(topology: GraphTopology) -> dict[VertexId, tuple[VertexId, ...]]:
-    """Neighbor lists keyed in vertex order (the little traversal support the oracle needs)."""
-    neighbors: dict[VertexId, list[VertexId]] = {v: [] for v in topology.vertices}
-    for a, b in topology.edges:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-    return {v: tuple(ns) for v, ns in neighbors.items()}
+    vertices = sorted({v for pair in pairs for v in pair})
+    position = {v: i for i, v in enumerate(vertices)}
+    return GraphTopology(
+        names=tuple(f"w{v}" for v in vertices),
+        edges=tuple((position[a], position[b]) for a, b in pairs),
+        m=0,
+        n=0,
+    )

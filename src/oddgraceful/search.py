@@ -18,7 +18,7 @@ import enum
 import time
 from dataclasses import dataclass
 
-from .graphs import GraphTopology, Labeling, VertexId, adjacency
+from .graphs import GraphTopology, Labeling
 from .verification import verify_odd_graceful
 
 
@@ -60,17 +60,26 @@ class SearchOutcome:
     stats: SearchStats
 
 
-def assignment_order(topology: GraphTopology) -> tuple[VertexId, ...]:
-    """Fixed assignment order: grow a connected frontier, isolated vertices last.
+def _neighbors(topology: GraphTopology) -> list[list[int]]:
+    neighbors: list[list[int]] = [[] for _ in topology.names]
+    for a, b in topology.edges:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    return neighbors
+
+
+def assignment_order(topology: GraphTopology) -> tuple[int, ...]:
+    """Fixed assignment order of vertex indices: grow a connected frontier,
+    isolated vertices last.
 
     Each vertex after the first is adjacent to an already-ordered one where
-    the graph allows (new components restart from their smallest vertex).
+    the graph allows (new components restart from their smallest index).
     """
-    neighbors = adjacency(topology)
-    connected = [v for v in topology.vertices if neighbors[v]]
-    isolated = [v for v in topology.vertices if not neighbors[v]]
-    order: list[VertexId] = []
-    placed: set[VertexId] = set()
+    neighbors = _neighbors(topology)
+    connected = [v for v, ns in enumerate(neighbors) if ns]
+    isolated = [v for v, ns in enumerate(neighbors) if not ns]
+    order: list[int] = []
+    placed: set[int] = set()
     while len(order) < len(connected):
         frontier = [
             v
@@ -105,7 +114,7 @@ def exhaustive_search(
 
     q = topology.q
     order = assignment_order(topology)
-    neighbors = adjacency(topology)
+    neighbors = _neighbors(topology)
     position = {v: p for p, v in enumerate(order)}
     # for each depth, positions of already-assigned neighbors
     earlier = [
@@ -162,8 +171,7 @@ def exhaustive_search(
     found = descend(0)
     stats = SearchStats(nodes_expanded=nodes, assignments_tried=tried)
     if found:
-        assignment = {v: chosen[position[v]] for v in topology.vertices}
-        labeling = Labeling(assignment)
+        labeling = tuple(chosen[position[v]] for v in range(len(topology.names)))
         report = verify_odd_graceful(topology, labeling)
         if not report.is_odd_graceful:
             details = "; ".join(v.describe() for v in report.violations)

@@ -13,26 +13,29 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import MissingVertexLabelError
-from .graphs import Edge, EdgeLabelMap, GraphTopology, Labeling, VertexId
+from .graphs import GraphTopology, Labeling
+
+# Violations name vertices and edges as text, since they exist to be read.
+EdgeNames = tuple[str, str]
 
 
-def _edge_text(edge: Edge) -> str:
+def _edge_text(edge: EdgeNames) -> str:
     return f"{edge[0]}-{edge[1]}"
 
 
 @dataclass(frozen=True)
 class DuplicateVertexLabel:
     label: int
-    vertices: tuple[VertexId, ...]
+    vertices: tuple[str, ...]
 
     def describe(self) -> str:
-        holders = ", ".join(str(v) for v in self.vertices)
+        holders = ", ".join(self.vertices)
         return f"vertex label {self.label} shared by {holders}"
 
 
 @dataclass(frozen=True)
 class VertexLabelOutOfRange:
-    vertex: VertexId
+    vertex: str
     label: int
     upper: int
 
@@ -42,7 +45,7 @@ class VertexLabelOutOfRange:
 
 @dataclass(frozen=True)
 class EdgeLabelEven:
-    edge: Edge
+    edge: EdgeNames
     label: int
 
     def describe(self) -> str:
@@ -52,7 +55,7 @@ class EdgeLabelEven:
 @dataclass(frozen=True)
 class DuplicateEdgeLabel:
     label: int
-    edges: tuple[Edge, ...]
+    edges: tuple[EdgeNames, ...]
 
     def describe(self) -> str:
         holders = ", ".join(_edge_text(e) for e in self.edges)
@@ -84,21 +87,16 @@ class VerificationReport:
 
 
 def _require_total(topology: GraphTopology, labeling: Labeling) -> None:
-    missing = [v for v in topology.vertices if v not in labeling]
-    if missing:
-        shown = ", ".join(str(v) for v in missing[:5])
-        suffix = ", ..." if len(missing) > 5 else ""
+    if len(labeling) != len(topology.names):
         raise MissingVertexLabelError(
-            f"labeling misses {len(missing)} vertices ({shown}{suffix})"
+            f"labeling has {len(labeling)} labels for {len(topology.names)} vertices"
         )
 
 
-def edge_labels(topology: GraphTopology, labeling: Labeling) -> EdgeLabelMap:
+def edge_labels(topology: GraphTopology, labeling: Labeling) -> tuple[int, ...]:
     """Induced |f(a) - f(b)| per edge, in the topology's edge order."""
     _require_total(topology, labeling)
-    return EdgeLabelMap(
-        tuple(((a, b), abs(labeling[a] - labeling[b])) for a, b in topology.edges)
-    )
+    return tuple(abs(labeling[a] - labeling[b]) for a, b in topology.edges)
 
 
 def verify_odd_graceful(topology: GraphTopology, labeling: Labeling) -> VerificationReport:
@@ -109,36 +107,42 @@ def verify_odd_graceful(topology: GraphTopology, labeling: Labeling) -> Verifica
     edge labels (by first holder), then a single finding for any odd values
     absent from the induced edge labels.
     """
-    _require_total(topology, labeling)
-    upper = 2 * topology.q - 1
-    violations: list[Violation] = []
-
-    for vertex in topology.vertices:
-        value = labeling[vertex]
-        if value < 0 or value > upper:
-            violations.append(VertexLabelOutOfRange(vertex=vertex, label=value, upper=upper))
-
-    holders: dict[int, list[VertexId]] = {}
-    for vertex in topology.vertices:
-        holders.setdefault(labeling[vertex], []).append(vertex)
-    for vertex in topology.vertices:
-        shared = holders[labeling[vertex]]
-        if len(shared) > 1 and shared[0] == vertex:
-            violations.append(
-                DuplicateVertexLabel(label=labeling[vertex], vertices=tuple(shared))
-            )
-
+    names, edges = topology.names, topology.edges
     induced = edge_labels(topology, labeling)
-    by_value: dict[int, list[Edge]] = {}
-    for edge, value in induced.labels:
-        by_value.setdefault(value, []).append(edge)
-    for edge, value in induced.labels:
-        if value % 2 == 0:
-            violations.append(EdgeLabelEven(edge=edge, label=value))
-    for edge, value in induced.labels:
-        shared = by_value[value]
-        if len(shared) > 1 and shared[0] == edge:
-            violations.append(DuplicateEdgeLabel(label=value, edges=tuple(shared)))
+    upper = 2 * topology.q - 1
+    violations: list[Violation] = [
+        VertexLabelOutOfRange(vertex=names[i], label=value, upper=upper)
+        for i, value in enumerate(labeling)
+        if value < 0 or value > upper
+    ]
+
+    # dicts keep insertion order, so each group is keyed by its first holder
+    holders: dict[int, list[int]] = {}
+    for i, value in enumerate(labeling):
+        holders.setdefault(value, []).append(i)
+    violations.extend(
+        DuplicateVertexLabel(label=value, vertices=tuple(names[i] for i in shared))
+        for value, shared in holders.items()
+        if len(shared) > 1
+    )
+
+    def edge_names(e: int) -> EdgeNames:
+        a, b = edges[e]
+        return names[a], names[b]
+
+    by_value: dict[int, list[int]] = {}
+    for e, value in enumerate(induced):
+        by_value.setdefault(value, []).append(e)
+    violations.extend(
+        EdgeLabelEven(edge=edge_names(e), label=value)
+        for e, value in enumerate(induced)
+        if value % 2 == 0
+    )
+    violations.extend(
+        DuplicateEdgeLabel(label=value, edges=tuple(edge_names(e) for e in shared))
+        for value, shared in by_value.items()
+        if len(shared) > 1
+    )
     missing = tuple(
         value for value in range(1, 2 * topology.q, 2) if value not in by_value
     )
@@ -156,4 +160,4 @@ def complement_labeling(topology: GraphTopology, labeling: Labeling) -> Labeling
     """
     _require_total(topology, labeling)
     top = 2 * topology.q - 1
-    return Labeling({v: top - labeling[v] for v in topology.vertices})
+    return tuple(top - value for value in labeling)

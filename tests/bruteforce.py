@@ -12,11 +12,9 @@ from oddgraceful import GraphTopology
 
 def brute_force_has_labeling(topology: GraphTopology) -> bool:
     q = topology.q
-    vertices = list(topology.vertices)
     odd_values = list(range(1, 2 * q, 2))
-    for labels in permutations(range(2 * q), len(vertices)):
-        assignment = dict(zip(vertices, labels))
-        diffs = sorted(abs(assignment[a] - assignment[b]) for a, b in topology.edges)
+    for labels in permutations(range(2 * q), len(topology.names)):
+        diffs = sorted(abs(labels[a] - labels[b]) for a, b in topology.edges)
         if diffs == odd_values:
             return True
     return False

@@ -12,29 +12,29 @@ import pytest
 
 from bruteforce import brute_force_has_labeling
 from oddgraceful import (
-    DuplicateVertexLabel,
-    EdgeLabelEven,
-    Labeling,
     PathTooShortError,
     SearchStatus,
-    algorithmic_labeling,
-    build_free_graph,
     build_union_graph,
     closed_form_labeling,
-    complement_labeling,
-    cycle_pass,
-    cycle_vertex,
-    edge_labels,
     exhaustive_search,
-    force_params,
-    init_markers,
-    min_path_length,
-    path_pass,
-    path_vertex,
     validate_params,
     verify_odd_graceful,
 )
 from oddgraceful.bench import Method, run_bench, summarize
+from oddgraceful.construction import (
+    cycle_pass,
+    force_params,
+    init_markers,
+    min_path_length,
+    path_pass,
+)
+from oddgraceful.graphs import build_free_graph
+from oddgraceful.verification import (
+    DuplicateVertexLabel,
+    EdgeLabelEven,
+    complement_labeling,
+    edge_labels,
+)
 
 SWEEP_MS = range(4, 42, 2)
 MAX_N = 200
@@ -74,18 +74,17 @@ def sweep():
             verify_failures.append((m, n, report.violations))
 
         markers = init_markers(params)
-        cycle = cycle_pass(params, markers)
-        path = path_pass(params, markers)
-        merged = dict(cycle.vertex_labels)
-        merged.update(path.vertex_labels)
-        closed_edges = edge_labels(topology, closed).values()
-        if merged != dict(closed.assignment):
+        cycle_labels, cycle_edges = cycle_pass(params, markers)
+        path_labels, path_edges = path_pass(params, markers)
+        merged = cycle_labels + path_labels
+        closed_edges = edge_labels(topology, closed)
+        if merged != closed:
             route_mismatches.append((m, n, "vertex labels"))
-        if cycle.edge_labels + path.edge_labels != closed_edges:
+        if cycle_edges + path_edges != closed_edges:
             route_mismatches.append((m, n, "edge labels"))
 
         q = params.q
-        if closed[cycle_vertex(m)] != 2 * q - 2 * m + 3:
+        if closed[m - 1] != 2 * q - 2 * m + 3:
             marker_failures.append((m, n, "active"))
         if closed_edges[m - 2] != 2 * q - 3 * m + 5:
             marker_failures.append((m, n, "double-jump"))
@@ -181,10 +180,10 @@ def test_c3_theorem_specializations():
                 q = params.q
                 topology = build_union_graph(m, n)
                 labeling = closed_form_labeling(params)
-                general = [labeling[v] for v in topology.vertices]
+                general = list(labeling)
                 printed = printed_cycle_labels(m, q) + printed_path_labels(m, q, n)
                 assert general == printed, (m, n)
-                induced = list(edge_labels(topology, labeling).values())
+                induced = list(edge_labels(topology, labeling))
                 expected = printed_cycle_edge_labels(m, q) + printed_path_edge_labels(m, q, n)
                 assert induced == expected, (m, n)
 
@@ -196,19 +195,19 @@ def test_c3_theorem_specializations():
             q = params.q
             topology = build_union_graph(6, n)
             general = closed_form_labeling(params)
-            assert [general[cycle_vertex(i)] for i in range(1, 7)] == [
+            assert [general[i - 1] for i in range(1, 7)] == [
                 0, 2 * q - 1, 2, 2 * q - 3, 4, 2 * q - 9,
             ]
-            assert general[path_vertex(1)] == 1
-            assert general[path_vertex(2)] == 2 * q - 10
+            assert general[6] == 1
+            assert general[7] == 2 * q - 10
             for i in range(3, n + 1, 2):
-                assert general[path_vertex(i)] == i + 2
+                assert general[6 + i - 1] == i + 2
             assert verify_odd_graceful(topology, general).is_odd_graceful
 
-            published = dict(general.assignment)
+            published = list(general)
             for i in range(2, n + 1, 2):
-                published[path_vertex(i)] = 2 * q - 12 + i
-            report = verify_odd_graceful(topology, Labeling(published))
+                published[6 + i - 1] = 2 * q - 12 + i
+            report = verify_odd_graceful(topology, tuple(published))
             if n >= 4:
                 assert not report.is_odd_graceful, n
             else:
@@ -303,20 +302,20 @@ def test_c9_verifier_properties():
         for _ in range(100):
             m, n = rng.choice(domain)
             topology = build_union_graph(m, n)
-            labeling = dict(closed_form_labeling(validate_params(m, n)).assignment)
-            victim, donor = rng.sample(list(topology.vertices), 2)
+            labeling = list(closed_form_labeling(validate_params(m, n)))
+            victim, donor = rng.sample(range(len(topology.names)), 2)
             labeling[victim] = labeling[donor]
-            report = verify_odd_graceful(topology, Labeling(labeling))
+            report = verify_odd_graceful(topology, tuple(labeling))
             assert not report.is_odd_graceful
             assert any(isinstance(v, DuplicateVertexLabel) for v in report.violations)
 
         for _ in range(100):
             m, n = rng.choice(domain)
             topology = build_union_graph(m, n)
-            labeling = dict(closed_form_labeling(validate_params(m, n)).assignment)
-            victim = rng.choice(list(topology.vertices))
+            labeling = list(closed_form_labeling(validate_params(m, n)))
+            victim = rng.choice(range(len(topology.names)))
             # +-1 stays in range and flips the parity of every incident edge
             labeling[victim] += 1 if labeling[victim] < 2 * topology.q - 1 else -1
-            report = verify_odd_graceful(topology, Labeling(labeling))
+            report = verify_odd_graceful(topology, tuple(labeling))
             assert not report.is_odd_graceful
             assert any(isinstance(v, EdgeLabelEven) for v in report.violations)

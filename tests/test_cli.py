@@ -1,8 +1,15 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from oddgraceful.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -184,6 +191,36 @@ class TestBench:
         assert out == ""
         assert "slope=" in err
         assert target.read_text().startswith("q,method,nanoseconds\n")
+
+
+class TestOversizedInputs:
+    def test_deep_search_is_a_clean_error(self, capsys):
+        code, out, err = run(capsys, "search", "--spec", "P1500")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "too large" in err
+        assert "Traceback" not in err
+
+    def test_out_of_memory_is_a_clean_error(self):
+        limit = 400 * 2**20
+
+        def cap_address_space():
+            # applies to the child process only
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "oddgraceful", "generate", "--spec", "C8+P99999999"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            preexec_fn=cap_address_space,
+            timeout=300,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:") and "too large" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestUsage:

@@ -8,29 +8,27 @@ from oddgraceful import (
     algorithmic_labeling,
     build_union_graph,
     closed_form_labeling,
+    validate_params,
+    verify_odd_graceful,
+)
+from oddgraceful.construction import (
     cycle_pass,
-    cycle_vertex,
-    edge_labels,
     force_params,
     init_markers,
     label_cycle_vertices,
     label_path_vertices,
     min_path_length,
     path_pass,
-    path_vertex,
-    validate_params,
-    verify_odd_graceful,
 )
+from oddgraceful.verification import edge_labels
 
 
 def cycle_values(params):
-    labels = label_cycle_vertices(params)
-    return [labels[cycle_vertex(i)] for i in range(1, params.m + 1)]
+    return list(label_cycle_vertices(params))
 
 
 def path_values(params):
-    labels = label_path_vertices(params)
-    return [labels[path_vertex(i)] for i in range(1, params.n + 1)]
+    return list(label_path_vertices(params))
 
 
 @st.composite
@@ -106,20 +104,20 @@ class TestClosedForm:
         params = validate_params(4, 3)
         topology = build_union_graph(4, 3)
         labeling = closed_form_labeling(params)
-        assert [labeling[vertex] for vertex in topology.vertices] == [0, 11, 2, 7, 1, 4, 3]
-        assert edge_labels(topology, labeling).values() == (11, 9, 5, 7, 3, 1)
+        assert list(labeling) == [0, 11, 2, 7, 1, 4, 3]
+        assert edge_labels(topology, labeling) == (11, 9, 5, 7, 3, 1)
 
     def test_m6_n3_edges(self):
         params = validate_params(6, 3)
         topology = build_union_graph(6, 3)
-        values = edge_labels(topology, closed_form_labeling(params)).values()
+        values = edge_labels(topology, closed_form_labeling(params))
         assert values == (15, 13, 11, 9, 3, 7, 5, 1)
         assert sorted(values) == list(range(1, 16, 2))
 
     def test_m8_n7_edges(self):
         params = validate_params(8, 7)
         topology = build_union_graph(8, 7)
-        values = edge_labels(topology, closed_form_labeling(params)).values()
+        values = edge_labels(topology, closed_form_labeling(params))
         assert values == (27, 25, 23, 21, 19, 17, 9, 15, 13, 11, 7, 5, 3, 1)
 
 
@@ -145,47 +143,47 @@ class TestPasses:
     def test_cycle_pass_matches_closed_form(self):
         for m, n in [(4, 3), (6, 3), (8, 7), (10, 7)]:
             params = validate_params(m, n)
-            result = cycle_pass(params, init_markers(params))
-            assert result.vertex_labels == label_cycle_vertices(params)
+            vertex_labels, _ = cycle_pass(params, init_markers(params))
+            assert vertex_labels == label_cycle_vertices(params)
 
     def test_cycle_pass_double_jump_edge_m6(self):
         params = validate_params(6, 3)
         markers = init_markers(params)
-        result = cycle_pass(params, markers)
+        _, edge_values = cycle_pass(params, markers)
         # e5 = |f(u5) - f(u6)| = |4 - 7|
-        assert result.edge_labels[4] == 3 == markers.double_jump_edge_label
+        assert edge_values[4] == 3 == markers.double_jump_edge_label
 
     def test_cycle_pass_closing_edge_m8(self):
         params = validate_params(8, 7)
         markers = init_markers(params)
-        result = cycle_pass(params, markers)
-        assert result.edge_labels[7] == 15 == markers.active_vertex_label
+        _, edge_values = cycle_pass(params, markers)
+        assert edge_values[7] == 15 == markers.active_vertex_label
 
     def test_path_pass_skip_fires_immediately_for_m4(self):
         params = validate_params(4, 3)
-        result = path_pass(params, init_markers(params))
+        vertex_labels, edge_values = path_pass(params, init_markers(params))
         # tentative first edge value 5 collides with the double-jump value
-        assert result.edge_labels == (3, 1)
-        assert result.vertex_labels[path_vertex(2)] == 4
-        assert result.vertex_labels[path_vertex(3)] == 3
+        assert edge_values == (3, 1)
+        assert vertex_labels[1] == 4
+        assert vertex_labels[2] == 3
 
     def test_path_pass_skip_at_second_edge_for_m6(self):
         params = validate_params(6, 3)
-        result = path_pass(params, init_markers(params))
-        assert result.edge_labels == (5, 1)
-        assert result.vertex_labels[path_vertex(2)] == 6
-        assert result.vertex_labels[path_vertex(3)] == 5
+        vertex_labels, edge_values = path_pass(params, init_markers(params))
+        assert edge_values == (5, 1)
+        assert vertex_labels[1] == 6
+        assert vertex_labels[2] == 5
 
     def test_path_pass_sequence_m8_n7(self):
         params = validate_params(8, 7)
-        result = path_pass(params, init_markers(params))
-        assert result.edge_labels == (13, 11, 7, 5, 3, 1)
+        _, edge_values = path_pass(params, init_markers(params))
+        assert edge_values == (13, 11, 7, 5, 3, 1)
 
     def test_path_pass_matches_closed_form(self):
         for m, n in [(4, 3), (6, 5), (8, 7), (10, 8), (12, 11)]:
             params = validate_params(m, n)
-            result = path_pass(params, init_markers(params))
-            assert result.vertex_labels == label_path_vertices(params)
+            vertex_labels, _ = path_pass(params, init_markers(params))
+            assert vertex_labels == label_path_vertices(params)
 
 
 class TestRouteEquivalence:
@@ -216,31 +214,31 @@ class TestStructuralProperties:
         cycle = label_cycle_vertices(params)
         path = label_path_vertices(params)
         for i in range(1, m + 1):
-            assert cycle[cycle_vertex(i)] % 2 == (0 if i % 2 else 1)
+            assert cycle[i - 1] % 2 == (0 if i % 2 else 1)
         for i in range(1, n + 1):
-            assert path[path_vertex(i)] % 2 == (1 if i % 2 else 0)
+            assert path[i - 1] % 2 == (1 if i % 2 else 0)
 
     @given(valid_mn())
     def test_all_labels_in_range(self, mn):
         params = validate_params(*mn)
         labeling = closed_form_labeling(params)
-        assert all(0 <= value <= 2 * params.q - 1 for value in labeling.assignment.values())
+        assert all(0 <= value <= 2 * params.q - 1 for value in labeling)
 
     @given(valid_mn())
     def test_marker_claims(self, mn):
         m, n = mn
         params = validate_params(m, n)
         markers = init_markers(params)
-        result = cycle_pass(params, markers)
-        assert result.vertex_labels[cycle_vertex(m)] == markers.active_vertex_label
-        assert result.edge_labels[m - 2] == markers.double_jump_edge_label
+        vertex_labels, edge_values = cycle_pass(params, markers)
+        assert vertex_labels[m - 1] == markers.active_vertex_label
+        assert edge_values[m - 2] == markers.double_jump_edge_label
 
     @given(valid_mn())
     def test_path_edge_label_sequence(self, mn):
         m, n = mn
         params = validate_params(m, n)
         q = params.q
-        values = path_pass(params, init_markers(params)).edge_labels
+        _, values = path_pass(params, init_markers(params))
         assert values[-1] == 1
         assert all(value % 2 == 1 for value in values)
         steps = [values[i] - values[i + 1] for i in range(len(values) - 1)]
@@ -258,7 +256,7 @@ class TestStructuralProperties:
         m, n = mn
         params = validate_params(m, n)
         q = params.q
-        values = path_pass(params, init_markers(params)).edge_labels
+        _, values = path_pass(params, init_markers(params))
         skip_position = params.k - 1  # 1-based edge index where the jump lands
         for j in range(skip_position, n):
             assert values[j - 1] == 2 * q - 2 * j - (2 * m - 1)

@@ -5,10 +5,10 @@ from oddgraceful import (
     DocumentError,
     build_union_graph,
     closed_form_labeling,
-    min_path_length,
     validate_params,
     verify_odd_graceful,
 )
+from oddgraceful.construction import min_path_length
 from oddgraceful.formats import (
     document_to_json,
     labeling_document,
@@ -158,7 +158,7 @@ class TestRoundTrip:
         text = document_to_json(labeling_document(topology, labeling))
         parsed_topology, parsed_labeling = parse_labeling_document(text)
         assert parsed_topology == topology
-        assert dict(parsed_labeling.assignment) == dict(labeling.assignment)
+        assert parsed_labeling == labeling
         assert verify_odd_graceful(parsed_topology, parsed_labeling).is_odd_graceful
 
     @pytest.mark.parametrize("m, n", [(4, 3), (6, 3), (8, 7), (12, 11)])
@@ -235,6 +235,27 @@ class TestDocumentErrors:
         with pytest.raises(DocumentError, match="malformed vertex id"):
             parse_labeling_document(document_to_json(doc))
 
+    def test_unknown_edge_endpoint_even_if_malformed(self, c4p3):
+        doc = labeling_document(*c4p3)
+        doc["edges"][0]["to"] = "z1"
+        with pytest.raises(DocumentError, match="unknown vertex"):
+            parse_labeling_document(document_to_json(doc))
+
+    @pytest.mark.parametrize("graph", [{"m": 4, "n": 3}, {"m": 1, "n": 1}, {"m": 0, "n": 2}])
+    def test_graph_sizes_must_match_topology(self, graph):
+        # a valid labeling of one edge, which is no C_m + P_n at all
+        doc = {
+            "graph": graph,
+            "q": 1,
+            "vertices": [{"id": "u1", "label": 0}, {"id": "v1", "label": 1}],
+            "edges": [{"from": "u1", "to": "v1", "label": 1}],
+        }
+        with pytest.raises(DocumentError, match=f"m={graph['m']}"):
+            parse_labeling_document(document_to_json(doc))
+        doc["graph"] = {"m": 0, "n": 0}
+        topology, labeling = parse_labeling_document(document_to_json(doc))
+        assert verify_odd_graceful(topology, labeling).is_odd_graceful
+
     def test_stored_edge_labels_are_ignored(self, c4p3):
         # edge labels are derived data: tampering with them alone cannot
         # change the verdict, only vertex labels matter
@@ -252,10 +273,10 @@ class TestReportDict:
         assert payload == {"is_odd_graceful": True, "q": 6, "violations": []}
 
     def test_violation_payloads(self):
-        from oddgraceful import Labeling, build_free_graph, free_vertex
+        from oddgraceful.graphs import build_free_graph
 
         triangle = build_free_graph([(1, 2), (2, 3), (3, 1)])
-        labeling = Labeling({free_vertex(1): 0, free_vertex(2): 0, free_vertex(3): 7})
+        labeling = (0, 0, 7)
         report = verify_odd_graceful(triangle, labeling)
         payload = report_to_dict(report, triangle.q)
         kinds = [violation["kind"] for violation in payload["violations"]]

@@ -1,61 +1,62 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
 from oddgraceful import (
     CycleTooSmallError,
+    DocumentError,
     EmptyGraphError,
     GraphTopology,
     OddCycleError,
     PathTooShortError,
     SelfLoopError,
-    VertexId,
-    VertexKind,
-    adjacency,
-    build_free_graph,
     build_union_graph,
-    cycle_vertex,
-    free_vertex,
-    path_vertex,
+    closed_form_labeling,
+    validate_params,
 )
+from oddgraceful.formats import document_to_json, labeling_document, parse_labeling_document
+from oddgraceful.graphs import build_free_graph
 
 
-def u(i):
-    return cycle_vertex(i)
-
-
-def v(j):
-    return path_vertex(j)
+def c4p3_document():
+    topology = build_union_graph(4, 3)
+    return labeling_document(topology, closed_form_labeling(validate_params(4, 3)))
 
 
 class TestVertexId:
     def test_str_rendering(self):
-        assert str(u(1)) == "u1"
-        assert str(v(12)) == "v12"
-        assert str(free_vertex(3)) == "w3"
+        assert build_union_graph(4, 12).names[0] == "u1"
+        assert build_union_graph(4, 12).names[-1] == "v12"
+        assert build_free_graph([(3, 4)]).names[0] == "w3"
 
     def test_parse_round_trip(self):
-        for vertex in (u(1), v(7), free_vertex(42)):
-            assert VertexId.parse(str(vertex)) == vertex
+        document = c4p3_document()
+        topology, _ = parse_labeling_document(document_to_json(document))
+        assert list(topology.names) == [vertex["id"] for vertex in document["vertices"]]
 
     @pytest.mark.parametrize("text", ["", "u", "u0", "x3", "u-1", "u1x", "U1", "u01"])
     def test_parse_rejects_malformed(self, text):
-        with pytest.raises(ValueError):
-            VertexId.parse(text)
+        document = c4p3_document()
+        document["vertices"][0]["id"] = text
+        with pytest.raises(DocumentError, match="malformed vertex id"):
+            parse_labeling_document(document_to_json(document))
 
     def test_canonical_order_is_cycle_then_path_then_free(self):
-        assert u(9) < v(1) < free_vertex(1)
-        assert u(1) < u(2)
+        names = build_union_graph(4, 2).names
+        assert names.index("u4") < names.index("v1")
+        assert build_free_graph([(9, 2), (2, 1)]).names == ("w1", "w2", "w9")
 
 
 class TestBuildUnionGraph:
     def test_counts_4_3(self):
         topology = build_union_graph(4, 3)
-        assert len(topology.vertices) == 7
+        assert len(topology.names) == 7
         assert topology.q == len(topology.edges) == 6
 
     def test_counts_10_7(self):
         topology = build_union_graph(10, 7)
-        assert len(topology.vertices) == 17
+        assert len(topology.names) == 17
         assert topology.q == len(topology.edges) == 16
 
     def test_odd_cycle_rejected(self):
@@ -72,18 +73,18 @@ class TestBuildUnionGraph:
 
     def test_exact_edge_sets(self):
         topology = build_union_graph(6, 4)
-        cycle_edges = [(u(i), u(i + 1)) for i in range(1, 6)] + [(u(1), u(6))]
-        path_edges = [(v(j), v(j + 1)) for j in range(1, 4)]
+        cycle_edges = [(i, i + 1) for i in range(5)] + [(0, 5)]
+        path_edges = [(j, j + 1) for j in range(6, 9)]
         assert list(topology.edges) == cycle_edges + path_edges
 
     def test_wrap_edge_is_canonical(self):
         topology = build_union_graph(4, 1)
-        assert topology.edges[3] == (u(1), u(4))
+        assert topology.edges[3] == (0, 3)
         assert all(a < b for a, b in topology.edges)
 
     def test_vertex_order(self):
         topology = build_union_graph(4, 2)
-        assert list(topology.vertices) == [u(1), u(2), u(3), u(4), v(1), v(2)]
+        assert list(topology.names) == ["u1", "u2", "u3", "u4", "v1", "v2"]
 
     def test_repeated_builds_identical(self):
         assert build_union_graph(8, 9) == build_union_graph(8, 9)
@@ -94,7 +95,8 @@ class TestBuildUnionGraph:
     )
     def test_degree_sequence(self, m, n):
         topology = build_union_graph(m, n)
-        degrees = sorted(len(ns) for ns in adjacency(topology).values())
+        count = Counter(v for edge in topology.edges for v in edge)
+        degrees = sorted(count[v] for v in range(len(topology.names)))
         if n == 1:
             assert degrees == [0] + [2] * m
         elif n == 2:
@@ -108,12 +110,12 @@ class TestBuildFreeGraph:
         topology = build_free_graph([(1, 2), (2, 3), (3, 1)])
         assert topology.q == 3
         assert topology.m == topology.n == 0
-        assert all(vertex.kind is VertexKind.FREE for vertex in topology.vertices)
+        assert all(name.startswith("w") for name in topology.names)
 
     def test_reversed_duplicate_collapses(self):
         topology = build_free_graph([(1, 2), (2, 1)])
         assert topology.q == 1
-        assert topology.edges == ((free_vertex(1), free_vertex(2)),)
+        assert topology.edges == ((0, 1),)
 
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoopError):
@@ -129,32 +131,18 @@ class TestBuildFreeGraph:
 
     def test_vertices_are_sorted_distinct_endpoints(self):
         topology = build_free_graph([(5, 2), (2, 9)])
-        assert topology.vertices == (free_vertex(2), free_vertex(5), free_vertex(9))
+        assert topology.names == ("w2", "w5", "w9")
 
 
 class TestTopologyInvariants:
-    def test_rejects_wrong_q(self):
-        with pytest.raises(ValueError):
-            GraphTopology(
-                vertices=(u(1), u(2)), edges=((u(1), u(2)),), m=0, n=0, q=2
-            )
-
     def test_rejects_duplicate_edge(self):
         with pytest.raises(ValueError):
-            GraphTopology(
-                vertices=(u(1), u(2)),
-                edges=((u(1), u(2)), (u(1), u(2))),
-                m=0,
-                n=0,
-                q=2,
-            )
+            GraphTopology(names=("u1", "u2"), edges=((0, 1), (0, 1)), m=0, n=0)
 
     def test_rejects_unknown_endpoint(self):
         with pytest.raises(ValueError):
-            GraphTopology(vertices=(u(1),), edges=((u(1), u(2)),), m=0, n=0, q=1)
+            GraphTopology(names=("u1",), edges=((0, 1),), m=0, n=0)
 
     def test_rejects_non_canonical_edge(self):
         with pytest.raises(ValueError):
-            GraphTopology(
-                vertices=(u(1), u(2)), edges=((u(2), u(1)),), m=0, n=0, q=1
-            )
+            GraphTopology(names=("u1", "u2"), edges=((1, 0),), m=0, n=0)

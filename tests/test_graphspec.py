@@ -6,11 +6,8 @@ from oddgraceful import (
     EmptyGraphError,
     GraphSpecError,
     PathTooShortError,
-    TermKind,
-    parse_graph_spec,
-    topology_from_spec,
 )
-from oddgraceful.graphspec import parse_edge_list
+from oddgraceful.graphspec import TermKind, parse_edge_list, parse_graph_spec, topology_from_spec
 
 
 class TestParseGraphSpec:
@@ -88,17 +85,17 @@ class TestTopologyFromSpec:
     def test_single_cycle(self):
         topology = topology_from_spec(parse_graph_spec("C3"))
         assert topology.q == 3
-        assert len(topology.vertices) == 3
+        assert len(topology.names) == 3
 
     def test_disjoint_cycles(self):
         topology = topology_from_spec(parse_graph_spec("C4+C4"))
         assert topology.q == 8
-        assert len(topology.vertices) == 8
+        assert len(topology.names) == 8
 
     def test_cycle_plus_path(self):
         topology = topology_from_spec(parse_graph_spec("C4+P3"))
         assert topology.q == 6
-        assert len(topology.vertices) == 7
+        assert len(topology.names) == 7
 
     def test_degenerate_cycle_rejected(self):
         with pytest.raises(CycleTooSmallError):
@@ -113,7 +110,7 @@ class TestTopologyFromSpec:
         listing.write_text("10 30\n30 20\n")
         topology = topology_from_spec(parse_graph_spec(f"P2+@{listing}"))
         # P2 takes w1-w2; the file's {10, 20, 30} become w3, w4, w5
-        assert len(topology.vertices) == 5
+        assert len(topology.names) == 5
         assert topology.q == 3
 
     def test_empty_file_rejected(self, tmp_path):

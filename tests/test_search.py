@@ -4,13 +4,12 @@ from bruteforce import brute_force_has_labeling
 from oddgraceful import (
     SearchBudget,
     SearchStatus,
-    adjacency,
-    assignment_order,
-    build_free_graph,
     build_union_graph,
     exhaustive_search,
     verify_odd_graceful,
 )
+from oddgraceful.graphs import build_free_graph
+from oddgraceful.search import assignment_order
 
 
 def cycle_edges(length):
@@ -115,7 +114,10 @@ class TestAssignmentOrder:
         topology = build_union_graph(4, 3)
         order = assignment_order(topology)
         seen = {order[0]}
-        neighbors = adjacency(topology)
+        neighbors = {v: [] for v in range(len(topology.names))}
+        for a, b in topology.edges:
+            neighbors[a].append(b)
+            neighbors[b].append(a)
         for vertex in order[1:]:
             # every later vertex touches the placed set unless it starts a
             # fresh component (or is isolated)
@@ -128,7 +130,7 @@ class TestAssignmentOrder:
     def test_isolated_vertices_last(self):
         topology = build_union_graph(4, 1)  # v1 has no edges
         order = assignment_order(topology)
-        assert str(order[-1]) == "v1"
+        assert topology.names[order[-1]] == "v1"
 
     def test_search_handles_isolated_vertices(self):
         topology = build_union_graph(4, 1)

@@ -2,51 +2,44 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oddgraceful import (
+    MissingVertexLabelError,
+    build_union_graph,
+    closed_form_labeling,
+    validate_params,
+    verify_odd_graceful,
+)
+from oddgraceful.construction import force_params, min_path_length
+from oddgraceful.graphs import build_free_graph
+from oddgraceful.verification import (
     DuplicateEdgeLabel,
     DuplicateVertexLabel,
     EdgeLabelEven,
     EdgeLabelSetIncomplete,
-    Labeling,
-    MissingVertexLabelError,
     VertexLabelOutOfRange,
-    build_free_graph,
-    build_union_graph,
-    closed_form_labeling,
     complement_labeling,
-    cycle_vertex,
     edge_labels,
-    force_params,
-    free_vertex,
-    min_path_length,
-    path_vertex,
-    validate_params,
-    verify_odd_graceful,
 )
 
 TRIANGLE = build_free_graph([(1, 2), (2, 3), (3, 1)])
-
-
-def w(i):
-    return free_vertex(i)
 
 
 class TestEdgeLabels:
     def test_union_instance(self):
         topology = build_union_graph(4, 3)
         labeling = closed_form_labeling(validate_params(4, 3))
-        assert edge_labels(topology, labeling).values() == (11, 9, 5, 7, 3, 1)
+        assert edge_labels(topology, labeling) == (11, 9, 5, 7, 3, 1)
 
     def test_constant_labeling_gives_zeroes(self):
-        labeling = Labeling({w(1): 5, w(2): 5, w(3): 5})
-        assert edge_labels(TRIANGLE, labeling).values() == (0, 0, 0)
+        labeling = (5, 5, 5)
+        assert edge_labels(TRIANGLE, labeling) == (0, 0, 0)
 
     def test_single_edge(self):
         topology = build_free_graph([(1, 2)])
-        assert edge_labels(topology, Labeling({w(1): 0, w(2): 1})).values() == (1,)
+        assert edge_labels(topology, (0, 1)) == (1,)
 
     def test_missing_vertex_raises(self):
         with pytest.raises(MissingVertexLabelError):
-            edge_labels(TRIANGLE, Labeling({w(1): 0, w(2): 1}))
+            edge_labels(TRIANGLE, (0, 1))
 
 
 class TestVerify:
@@ -57,7 +50,7 @@ class TestVerify:
         assert report.violations == ()
 
     def test_triangle_0_1_2(self):
-        report = verify_odd_graceful(TRIANGLE, Labeling({w(1): 0, w(2): 1, w(3): 2}))
+        report = verify_odd_graceful(TRIANGLE, (0, 1, 2))
         assert not report.is_odd_graceful
         kinds = [type(violation) for violation in report.violations]
         assert EdgeLabelEven in kinds
@@ -77,21 +70,21 @@ class TestVerify:
         duplicates = [v for v in report.violations if isinstance(v, DuplicateVertexLabel)]
         assert len(duplicates) == 1
         assert duplicates[0].label == 8
-        assert duplicates[0].vertices == (cycle_vertex(9), path_vertex(6))
+        assert duplicates[0].vertices == ("u9", "v6")
 
     def test_out_of_range_label_reported(self):
-        labeling = Labeling({w(1): 0, w(2): 1, w(3): 99})
+        labeling = (0, 1, 99)
         report = verify_odd_graceful(TRIANGLE, labeling)
         out_of_range = [v for v in report.violations if isinstance(v, VertexLabelOutOfRange)]
-        assert out_of_range == [VertexLabelOutOfRange(vertex=w(3), label=99, upper=5)]
+        assert out_of_range == [VertexLabelOutOfRange(vertex="w3", label=99, upper=5)]
 
     def test_missing_vertex_raises(self):
         with pytest.raises(MissingVertexLabelError):
-            verify_odd_graceful(TRIANGLE, Labeling({w(1): 0}))
+            verify_odd_graceful(TRIANGLE, (0,))
 
     def test_all_violations_reported_not_just_first(self):
         # one bad label triggers range, duplicate, and edge findings together
-        labeling = Labeling({w(1): 0, w(2): 0, w(3): -2})
+        labeling = (0, 0, -2)
         report = verify_odd_graceful(TRIANGLE, labeling)
         kinds = {type(violation) for violation in report.violations}
         assert VertexLabelOutOfRange in kinds
@@ -99,7 +92,7 @@ class TestVerify:
         assert EdgeLabelEven in kinds
 
     def test_violation_order_is_deterministic(self):
-        labeling = Labeling({w(1): 0, w(2): 0, w(3): -2})
+        labeling = (0, 0, -2)
         first = verify_odd_graceful(TRIANGLE, labeling)
         second = verify_odd_graceful(TRIANGLE, labeling)
         assert first == second
@@ -119,7 +112,7 @@ class TestVerifierProperties:
         labeling = closed_form_labeling(params)
         mirrored = complement_labeling(topology, labeling)
         assert verify_odd_graceful(topology, mirrored).is_odd_graceful
-        assert edge_labels(topology, mirrored).values() == edge_labels(topology, labeling).values()
+        assert edge_labels(topology, mirrored) == edge_labels(topology, labeling)
 
     @given(valid_params_strategy(), st.integers(min_value=1, max_value=1000))
     def test_cycle_rotation_preserves_verdict(self, params, shift):
@@ -127,20 +120,21 @@ class TestVerifierProperties:
         topology = build_union_graph(params.m, params.n)
         labeling = closed_form_labeling(params)
         m = params.m
-        rotated = dict(labeling.assignment)
+        rotated = list(labeling)
         for i in range(1, m + 1):
-            rotated[cycle_vertex(i)] = labeling[cycle_vertex((i - 1 + shift) % m + 1)]
-        assert verify_odd_graceful(topology, Labeling(rotated)).is_odd_graceful
+            rotated[i - 1] = labeling[(i - 1 + shift) % m]
+        assert verify_odd_graceful(topology, tuple(rotated)).is_odd_graceful
 
     @given(valid_params_strategy())
     def test_path_reversal_preserves_verdict(self, params):
         topology = build_union_graph(params.m, params.n)
         labeling = closed_form_labeling(params)
         n = params.n
-        reversed_path = dict(labeling.assignment)
+        m = params.m
+        reversed_path = list(labeling)
         for j in range(1, n + 1):
-            reversed_path[path_vertex(j)] = labeling[path_vertex(n + 1 - j)]
-        assert verify_odd_graceful(topology, Labeling(reversed_path)).is_odd_graceful
+            reversed_path[m + j - 1] = labeling[m + n - j]
+        assert verify_odd_graceful(topology, tuple(reversed_path)).is_odd_graceful
 
     def test_odd_cycles_always_fail(self):
         # edge labels around a cycle sum to an even number, so an odd count
@@ -152,5 +146,5 @@ class TestVerifierProperties:
             from itertools import permutations
 
             for labels in permutations(range(2 * q), length):
-                labeling = Labeling(dict(zip(topology.vertices, labels)))
+                labeling = labels
                 assert not verify_odd_graceful(topology, labeling).is_odd_graceful
