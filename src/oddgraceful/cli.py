@@ -116,7 +116,7 @@ def _count(violations) -> str:
 def _read_file(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path!r}: {exc}") from None
 
 
@@ -240,17 +240,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (GraphSpecError, DocumentError) as exc:
+    except (UsageError, GraphSpecError, DocumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OddGracefulError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except RecursionError:
-        print("error: input too large: recursion limit exceeded", file=sys.stderr)
         return EXIT_INVALID
     except MemoryError:
         print("error: input too large: out of memory", file=sys.stderr)

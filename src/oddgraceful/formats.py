@@ -72,6 +72,8 @@ def parse_labeling_document(text: str) -> tuple[GraphTopology, Labeling]:
         raise DocumentError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise DocumentError("invalid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise DocumentError("document root must be an object")
 

@@ -3,18 +3,20 @@
 Labels are assigned depth-first in a connectivity-respecting vertex order, so
 each new assignment completes as many edges as possible and edge pruning
 bites early. A branch is cut as soon as a vertex label repeats or a completed
-edge realizes an even or already-used difference. Solutions come in
-complement pairs (f and 2q-1-f), so the first assigned vertex only needs
-labels 0..q-1; that restriction can be disabled and must not change any
-verdict.
+edge realizes an even or already-used difference. One loop walks an explicit
+stack of placed labels, so the depth is bounded by the budget, not by the
+recursion limit. Solutions come in complement pairs (f and 2q-1-f), so the
+first assigned vertex only needs labels 0..q-1; that restriction can be
+disabled and must not change any verdict.
 
-Intended for desk-scale graphs (q up to roughly 10); exhaustion cost grows
-factorially beyond that.
+Exhaustion cost grows factorially beyond q of roughly 10; a larger graph runs
+until a labeling is found or the budget runs out.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 import time
 from dataclasses import dataclass
 
@@ -60,37 +62,32 @@ class SearchOutcome:
     stats: SearchStats
 
 
-def _neighbors(topology: GraphTopology) -> list[list[int]]:
-    neighbors: list[list[int]] = [[] for _ in topology.names]
-    for a, b in topology.edges:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-    return neighbors
-
-
 def assignment_order(topology: GraphTopology) -> tuple[int, ...]:
     """Fixed assignment order of vertex indices: grow a connected frontier,
     isolated vertices last.
 
-    Each vertex after the first is adjacent to an already-ordered one where
-    the graph allows (new components restart from their smallest index).
+    The next vertex is the smallest index adjacent to the placed set; a new
+    component starts from its smallest index. A heap holds the frontier, so
+    this takes O((V + E) log V).
     """
-    neighbors = _neighbors(topology)
-    connected = [v for v, ns in enumerate(neighbors) if ns]
-    isolated = [v for v, ns in enumerate(neighbors) if not ns]
+    neighbors: list[list[int]] = [[] for _ in topology.names]
+    for a, b in topology.edges:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    placed = [False] * len(neighbors)
     order: list[int] = []
-    placed: set[int] = set()
-    while len(order) < len(connected):
-        frontier = [
-            v
-            for v in connected
-            if v not in placed and any(u in placed for u in neighbors[v])
-        ]
-        pool = frontier or [v for v in connected if v not in placed]
-        chosen = min(pool)
-        order.append(chosen)
-        placed.add(chosen)
-    order.extend(isolated)
+    for start, adjacent in enumerate(neighbors):
+        frontier = [start] if adjacent and not placed[start] else []
+        while frontier:
+            vertex = heapq.heappop(frontier)
+            if placed[vertex]:
+                continue
+            placed[vertex] = True
+            order.append(vertex)
+            for other in neighbors[vertex]:
+                if not placed[other]:
+                    heapq.heappush(frontier, other)
+    order.extend(v for v, adjacent in enumerate(neighbors) if not adjacent)
     return tuple(order)
 
 
@@ -114,69 +111,72 @@ def exhaustive_search(
 
     q = topology.q
     order = assignment_order(topology)
-    neighbors = _neighbors(topology)
-    position = {v: p for p, v in enumerate(order)}
-    # for each depth, positions of already-assigned neighbors
-    earlier = [
-        tuple(position[u] for u in neighbors[v] if position[u] < position[v])
-        for v in order
-    ]
+    size = len(order)
+    position = {v: depth for depth, v in enumerate(order)}
+    # for each depth, the depths of its already-assigned neighbors
+    earlier: list[list[int]] = [[] for _ in order]
+    for a, b in topology.edges:
+        low, high = sorted((position[a], position[b]))
+        earlier[high].append(low)
+    top = [2 * q - 1] * size
+    if complement_symmetry:
+        top[0] = q - 1
 
     label_used = [False] * (2 * q)
     diff_used = [False] * (2 * q)
-    chosen = [0] * len(order)
-    nodes = 0
-    tried = 0
-    out_of_budget = False
+    # the explicit stack: each depth's label and the differences it committed
+    chosen = [0] * size
+    committed: list[list[int]] = [[] for _ in order]
+    nodes = tried = 0
+    status = SearchStatus.EXHAUSTED_NONE
     deadline = None
     if budget.time_limit_ms is not None:
         deadline = time.perf_counter() + budget.time_limit_ms / 1000.0
 
-    def descend(depth: int) -> bool:
-        nonlocal nodes, tried, out_of_budget
-        if depth == len(order):
-            return True
-        top = q - 1 if (complement_symmetry and depth == 0) else 2 * q - 1
-        for label in range(top + 1):
+    depth = start = 0
+    while depth < size:
+        for label in range(start, top[depth] + 1):
             tried += 1
             if label_used[label]:
                 continue
-            committed: list[int] = []
-            feasible = True
+            diffs: list[int] = []
             for other in earlier[depth]:
                 diff = abs(label - chosen[other])
                 if diff % 2 == 0 or diff_used[diff]:
-                    feasible = False
                     break
                 diff_used[diff] = True
-                committed.append(diff)
-            if feasible:
-                nodes += 1
-                if nodes > budget.max_nodes or (
-                    deadline is not None and time.perf_counter() > deadline
-                ):
-                    out_of_budget = True
-                else:
-                    label_used[label] = True
-                    chosen[depth] = label
-                    if descend(depth + 1):
-                        return True
-                    label_used[label] = False
-            for diff in committed:
+                diffs.append(diff)
+            else:
+                break  # every completed edge is odd and new: place this label
+            for diff in diffs:
                 diff_used[diff] = False
-            if out_of_budget:
-                return False
-        return False
+        else:
+            # no label left at this depth: undo the one below and move past it
+            if depth == 0:
+                break
+            depth -= 1
+            label_used[chosen[depth]] = False
+            for diff in committed[depth]:
+                diff_used[diff] = False
+            start = chosen[depth] + 1
+            continue
+        nodes += 1
+        if nodes > budget.max_nodes or (
+            deadline is not None and time.perf_counter() > deadline
+        ):
+            status = SearchStatus.BUDGET_EXHAUSTED
+            break
+        label_used[label] = True
+        chosen[depth] = label
+        committed[depth] = diffs
+        depth, start = depth + 1, 0
 
-    found = descend(0)
     stats = SearchStats(nodes_expanded=nodes, assignments_tried=tried)
-    if found:
-        labeling = tuple(chosen[position[v]] for v in range(len(topology.names)))
-        report = verify_odd_graceful(topology, labeling)
-        if not report.is_odd_graceful:
-            details = "; ".join(v.describe() for v in report.violations)
-            raise RuntimeError(f"search produced an invalid certificate: {details}")
-        return SearchOutcome(SearchStatus.FOUND, labeling, stats)
-    if out_of_budget:
-        return SearchOutcome(SearchStatus.BUDGET_EXHAUSTED, None, stats)
-    return SearchOutcome(SearchStatus.EXHAUSTED_NONE, None, stats)
+    if depth < size:
+        return SearchOutcome(status, None, stats)
+    labeling = tuple(chosen[position[v]] for v in range(len(topology.names)))
+    report = verify_odd_graceful(topology, labeling)
+    if not report.is_odd_graceful:
+        details = "; ".join(v.describe() for v in report.violations)
+        raise RuntimeError(f"search produced an invalid certificate: {details}")
+    return SearchOutcome(SearchStatus.FOUND, labeling, stats)

@@ -118,6 +118,27 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--input", "/nonexistent/file.json")
         assert code == 64
 
+    def test_undecodable_file(self, capsys, tmp_path):
+        target = tmp_path / "binary.json"
+        target.write_bytes(b"\xff\xfe{")
+        code, _, err = run(capsys, "verify", "--input", str(target))
+        assert code == 64
+        assert err.startswith("error: cannot read")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000 + "]" * 100_000, '{"a":' * 100_000 + "1" + "}" * 100_000],
+        ids=["array", "object"],
+    )
+    def test_deeply_nested_document_is_a_parse_error(self, capsys, tmp_path, text):
+        target = tmp_path / "nested.json"
+        target.write_text(text)
+        code, out, err = run(capsys, "verify", "--input", str(target))
+        assert code == 64
+        assert out == ""
+        assert err.startswith("error:") and "nested too deeply" in err
+        assert "Traceback" not in err
+
 
 class TestSearch:
     def test_c3_exhausts(self, capsys):
@@ -194,12 +215,12 @@ class TestBench:
 
 
 class TestOversizedInputs:
-    def test_deep_search_is_a_clean_error(self, capsys):
-        code, out, err = run(capsys, "search", "--spec", "P1500")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error:") and "too large" in err
-        assert "Traceback" not in err
+    def test_deep_search_ends_in_the_budget(self, capsys):
+        # 1,500 vertices: deeper than the default recursion limit of 1,000
+        code, out, err = run(capsys, "search", "--spec", "P1500", "--max-nodes", "1500")
+        assert code == 3
+        assert out.startswith("status: budget-exhausted\n")
+        assert err == ""
 
     def test_out_of_memory_is_a_clean_error(self):
         limit = 400 * 2**20

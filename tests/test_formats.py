@@ -193,6 +193,11 @@ class TestDocumentErrors:
         with pytest.raises(DocumentError, match="root"):
             parse_labeling_document("[1, 2]")
 
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"a":' * 100_000], ids=["array", "object"])
+    def test_nested_too_deeply(self, text):
+        with pytest.raises(DocumentError, match="nested too deeply"):
+            parse_labeling_document(text)
+
     def test_q_mismatch(self, c4p3):
         doc = labeling_document(*c4p3)
         doc["q"] = 5

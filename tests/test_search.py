@@ -101,6 +101,15 @@ class TestBudget:
             SearchBudget(time_limit_ms=0)
 
 
+class TestDeepSearch:
+    def test_star_deeper_than_the_recursion_limit(self):
+        star = build_free_graph([(1, leaf) for leaf in range(2, 1502)])  # K1,1500
+        outcome = exhaustive_search(star)
+        assert outcome.status is SearchStatus.FOUND
+        assert verify_odd_graceful(star, outcome.labeling).is_odd_graceful
+        assert outcome.stats.nodes_expanded == 1501
+
+
 class TestDeterminism:
     def test_identical_runs_identical_outcomes(self):
         for name in ("C3", "C4", "C5", "star4"):
