@@ -7,10 +7,10 @@ Grammar::
 
 Integers are decimal and at least 1. ``+`` is disjoint union: each term's
 vertices land in a fresh block, so ``C4+C4`` is two disjoint 4-cycles. An
-``@`` term pulls an edge list from a file (one ``a b`` pair per line, blank
-lines and ``#`` comments ignored). Constructor-backed commands additionally
-require exactly one cycle and one path term; the search command accepts any
-spec.
+``@`` term pulls an edge list from a file (one ``a b`` pair of positive
+ASCII-decimal indices per line, blank lines and ``#`` comments ignored).
+Constructor-backed commands additionally require exactly one cycle and one
+path term; the search command accepts any spec.
 """
 
 from __future__ import annotations
@@ -116,10 +116,10 @@ def parse_edge_list(text: str) -> list[tuple[int, int]]:
         parts = line.split()
         if len(parts) != 2:
             raise DocumentError(f"line {lineno}: expected two vertex indices, got {raw!r}")
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise DocumentError(f"line {lineno}: vertex indices must be integers") from None
+        # ASCII decimal digits only: int() would also take "1_0", "+3" and "٣"
+        if not all(part.isascii() and part.isdigit() for part in parts):
+            raise DocumentError(f"line {lineno}: vertex indices must be integers")
+        a, b = int(parts[0]), int(parts[1])
         if a < 1 or b < 1:
             raise DocumentError(f"line {lineno}: vertex indices must be positive")
         edges.append((a, b))

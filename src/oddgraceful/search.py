@@ -2,9 +2,10 @@
 
 Labels are assigned depth-first in a connectivity-respecting vertex order, so
 each new assignment completes as many edges as possible and edge pruning
-bites early. A branch is cut as soon as a vertex label repeats or a completed
-edge realizes an even or already-used difference. One loop walks an explicit
-stack of placed labels, so the depth is bounded by the budget, not by the
+bites early. Int bitsets hold the unused labels and the placed differences;
+on entering a depth, shifts and masks over its labelled neighbours build one
+mask of candidate labels, taken lowest first. Masks stay on an explicit stack
+while deeper levels run, so the depth is bounded by the budget, not by the
 recursion limit. Solutions come in complement pairs (f and 2q-1-f), so the
 first assigned vertex only needs labels 0..q-1; that restriction can be
 disabled and must not change any verdict.
@@ -48,7 +49,8 @@ class SearchBudget:
 class SearchStats:
     """nodes_expanded counts consistent partial assignments reached;
 
-    assignments_tried counts every label attempt, pruned ones included.
+    assignments_tried counts labels passed over in assignment order, pruned
+    ones included.
     """
 
     nodes_expanded: int
@@ -104,71 +106,69 @@ def exhaustive_search(
     symmetry-reduced space is explored, or BUDGET_EXHAUSTED. Identical inputs
     always produce identical outcomes and statistics.
     """
-    if budget is None:
-        budget = SearchBudget()
+    budget = budget or SearchBudget()
     if topology.q < 1:
         raise ValueError("search needs a topology with at least one edge")
 
-    q = topology.q
+    q, two_q = topology.q, 2 * topology.q
     order = assignment_order(topology)
     size = len(order)
     position = {v: depth for depth, v in enumerate(order)}
-    # for each depth, the depths of its already-assigned neighbors
+    # for each depth, the depths of its already-assigned neighbors, and their pairs
     earlier: list[list[int]] = [[] for _ in order]
     for a, b in topology.edges:
         low, high = sorted((position[a], position[b]))
         earlier[high].append(low)
-    top = [2 * q - 1] * size
-    if complement_symmetry:
-        top[0] = q - 1
-
-    label_used = [False] * (2 * q)
-    diff_used = [False] * (2 * q)
-    # the explicit stack: each depth's label and the differences it committed
-    chosen = [0] * size
-    committed: list[list[int]] = [[] for _ in order]
+    pairs = [[(a, b) for i, a in enumerate(e) for b in e[:i]] for e in earlier]
+    # span[depth] has a bit for each label tried at that depth, tried lowest first
+    span = [(1 << two_q) - 1] * size
+    span[0] = (1 << (q if complement_symmetry else two_q)) - 1
+    opposite = (int("10" * q, 2), int("01" * q, 2))  # odd distance from c, by c & 1
+    # free: unused labels; used: bit d per placed difference d; mirror: bit 2q-d
+    free, used, mirror = (1 << two_q) - 1, 0, 0
+    # the explicit stack: each depth's label, untried candidates and entry bitsets
+    chosen, candidates, saved = [0] * size, [0] * size, [(0, 0, 0)] * size
     nodes = tried = 0
     status = SearchStatus.EXHAUSTED_NONE
-    deadline = None
-    if budget.time_limit_ms is not None:
-        deadline = time.perf_counter() + budget.time_limit_ms / 1000.0
+    limit = budget.time_limit_ms
+    deadline = None if limit is None else time.perf_counter() + limit / 1000.0
 
     depth = start = 0
     while depth < size:
-        for label in range(start, top[depth] + 1):
-            tried += 1
-            if label_used[label]:
-                continue
-            diffs: list[int] = []
+        mask = candidates[depth]
+        if not start:
+            # entering this depth: keep the free labels whose new edges are all odd,
+            # unused and distinct; two are alike only at two neighbours' midpoint
+            mask = free & span[depth]
             for other in earlier[depth]:
-                diff = abs(label - chosen[other])
-                if diff % 2 == 0 or diff_used[diff]:
-                    break
-                diff_used[diff] = True
-                diffs.append(diff)
-            else:
-                break  # every completed edge is odd and new: place this label
-            for diff in diffs:
-                diff_used[diff] = False
-        else:
-            # no label left at this depth: undo the one below and move past it
+                c = chosen[other]
+                mask &= opposite[c & 1] & ~((used << c) | (mirror >> (two_q - c)))
+            for a, b in pairs[depth]:  # mixed parities have already emptied the mask
+                mask &= ~(1 << ((chosen[a] + chosen[b]) >> 1))
+        if not mask:
+            # no label left at this depth: resume the one below past its label
+            tried += span[depth].bit_length() - start
             if depth == 0:
                 break
             depth -= 1
-            label_used[chosen[depth]] = False
-            for diff in committed[depth]:
-                diff_used[diff] = False
+            free, used, mirror = saved[depth]
             start = chosen[depth] + 1
             continue
+        bit = mask & -mask
+        candidates[depth] = mask ^ bit
+        label = bit.bit_length() - 1
+        tried += label - start + 1
         nodes += 1
-        if nodes > budget.max_nodes or (
-            deadline is not None and time.perf_counter() > deadline
-        ):
+        if nodes > budget.max_nodes or deadline is not None and time.perf_counter() > deadline:
             status = SearchStatus.BUDGET_EXHAUSTED
             break
-        label_used[label] = True
+        saved[depth] = free, used, mirror
         chosen[depth] = label
-        committed[depth] = diffs
+        free ^= bit
+        for other in earlier[depth]:
+            diff = abs(label - chosen[other])
+            used |= 1 << diff
+            mirror |= 1 << (two_q - diff)
         depth, start = depth + 1, 0
 
     stats = SearchStats(nodes_expanded=nodes, assignments_tried=tried)

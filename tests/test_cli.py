@@ -167,6 +167,15 @@ class TestSearch:
         code, out, _ = run(capsys, "search", "--edges", str(listing))
         assert code == 0
 
+    @pytest.mark.parametrize("line", ["1_0 2", "+3 1", "2 \u0663"])
+    def test_edges_file_with_non_decimal_index(self, capsys, tmp_path, line):
+        listing = tmp_path / "graph.txt"
+        listing.write_text(f"1 2\n{line}\n", encoding="utf-8")
+        code, out, err = run(capsys, "search", "--edges", str(listing))
+        assert code == 64
+        assert out == ""
+        assert "line 2: vertex indices must be integers" in err
+
     def test_degenerate_cycle_term(self, capsys):
         code, _, err = run(capsys, "search", "--spec", "C2")
         assert code == 1

@@ -80,6 +80,15 @@ class TestParseEdgeList:
         with pytest.raises(DocumentError, match="positive"):
             parse_edge_list("0 2\n")
 
+    # int() reads all three: a digit-group underscore, a sign, ARABIC-INDIC DIGIT THREE
+    @pytest.mark.parametrize("index", ["1_0", "+3", "\u0663"])
+    def test_non_decimal_index_rejected(self, index):
+        with pytest.raises(DocumentError, match="line 2: vertex indices must be integers"):
+            parse_edge_list(f"1 2\n{index} 2\n")
+
+    def test_leading_zeros_are_decimal(self):
+        assert parse_edge_list("01 002\n") == [(1, 2)]
+
 
 class TestTopologyFromSpec:
     def test_single_cycle(self):
