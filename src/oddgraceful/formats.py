@@ -6,7 +6,10 @@ v_1..v_n), edges likewise (cycle edges then path edges). Stored edge labels
 are derived data; verification always recomputes them from vertex labels, so
 a document with tampered vertex labels is judged on substance.
 
-Output is byte-identical across runs for identical inputs.
+``document_to_json`` returns the same bytes as ``json.dumps(document,
+indent=2)`` plus a newline: two-space indent, one field per line, non-ASCII
+escaped. ``parse_labeling_document`` accepts any JSON layout. Output is
+byte-identical across runs for identical inputs.
 """
 
 from __future__ import annotations
@@ -36,8 +39,54 @@ def labeling_document(topology: GraphTopology, labeling: Labeling) -> dict:
     }
 
 
+# json.dumps(document, indent=2), with a %s slot for each field value
+_HEADER = '{\n  "graph": {\n    "m": %s,\n    "n": %s\n  },\n  "q": %s,\n  "vertices": '
+_VERTEX = '    {\n      "id": %s,\n      "label": %s\n    }'
+_EDGE = '    {\n      "from": %s,\n      "to": %s,\n      "label": %s\n    }'
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _field(value, depth: int) -> str:
+    """A field value as ``json.dumps(..., indent=2)`` writes it at ``depth``."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return _encode_str(value)
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _vertex_json(entry: dict) -> str:
+    name, label = entry["id"], entry["label"]
+    if type(name) is str and type(label) is int:
+        return _VERTEX % (_encode_str(name), label)
+    return _VERTEX % (_field(name, 3), _field(label, 3))
+
+
+def _edge_json(entry: dict) -> str:
+    a, b, label = entry["from"], entry["to"], entry["label"]
+    if type(a) is str and type(b) is str and type(label) is int:
+        return _EDGE % (_encode_str(a), _encode_str(b), label)
+    return _EDGE % (_field(a, 3), _field(b, 3), _field(label, 3))
+
+
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
 def document_to_json(document: dict) -> str:
-    return json.dumps(document, indent=2) + "\n"
+    """The bytes of ``json.dumps(document, indent=2)`` plus a newline.
+
+    ``document`` has the keys and nesting of a :func:`labeling_document`,
+    in that order, and any JSON value may stand in a field. The text is
+    filled into fixed templates instead, because ``json.dumps`` with an
+    indent runs its pure-Python encoder on every entry.
+    """
+    graph = document["graph"]
+    header = _HEADER % (_field(graph["m"], 2), _field(graph["n"], 2), _field(document["q"], 1))
+    vertices = _json_list(list(map(_vertex_json, document["vertices"])))
+    edges = _json_list(list(map(_edge_json, document["edges"])))
+    return header + vertices + ',\n  "edges": ' + edges + "\n}\n"
 
 
 def _want(mapping: dict, key: str, context: str):
@@ -59,6 +108,42 @@ def _want_str(value, context: str) -> str:
     return value
 
 
+def _add_vertex(index: int, entry, position: dict[str, int], labels: list[int]) -> None:
+    """Record vertex entry ``index``, or raise the error of its first failed check.
+
+    The parse loop tests the common case inline, without building the
+    context string, and comes here for every entry that test does not pass.
+    """
+    context = f"vertices[{index}]"
+    name = _want_str(_want(entry, "id", context), context)
+    if not _VERTEX_ID.fullmatch(name):
+        raise DocumentError(f"{context}: malformed vertex id {name!r}")
+    label = _want_int(_want(entry, "label", context), f"{context}.label")
+    if label < 0:
+        raise DocumentError(f"{context}: label must be non-negative, got {label}")
+    if name in position:
+        raise DocumentError(f"{context}: duplicate vertex id {name}")
+    position[name] = index
+    labels.append(label)
+
+
+def _add_edge(
+    index: int, entry, position: dict[str, int], edges: dict[tuple[int, int], None]
+) -> None:
+    """Record edge entry ``index``, or raise the error of its first failed check."""
+    context = f"edges[{index}]"
+    a = _want_str(_want(entry, "from", context), context)
+    b = _want_str(_want(entry, "to", context), context)
+    if a == b:
+        raise DocumentError(f"{context}: self-loop at {a}")
+    if a not in position or b not in position:
+        raise DocumentError(f"{context}: edge references an unknown vertex")
+    i, j = sorted((position[a], position[b]))
+    if (i, j) in edges:
+        raise DocumentError(f"{context}: duplicate edge {a}-{b}")
+    edges[i, j] = None
+
+
 def parse_labeling_document(text: str) -> tuple[GraphTopology, Labeling]:
     """Parse a JSON labeling document back into a topology and labeling.
 
@@ -72,6 +157,9 @@ def parse_labeling_document(text: str) -> tuple[GraphTopology, Labeling]:
         raise DocumentError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError:
+        # the interpreter's limit on the digits of an int (4,300 by default)
+        raise DocumentError("invalid JSON: integer too large") from None
     except RecursionError:
         raise DocumentError("invalid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
@@ -89,34 +177,34 @@ def parse_labeling_document(text: str) -> tuple[GraphTopology, Labeling]:
     position: dict[str, int] = {}
     labels: list[int] = []
     for index, entry in enumerate(raw_vertices):
-        context = f"vertices[{index}]"
-        name = _want_str(_want(entry, "id", context), context)
-        if not _VERTEX_ID.fullmatch(name):
-            raise DocumentError(f"{context}: malformed vertex id {name!r}")
-        label = _want_int(_want(entry, "label", context), f"{context}.label")
-        if label < 0:
-            raise DocumentError(f"{context}: label must be non-negative, got {label}")
-        if name in position:
-            raise DocumentError(f"{context}: duplicate vertex id {name}")
-        position[name] = index
-        labels.append(label)
+        if type(entry) is dict:
+            name, label = entry.get("id"), entry.get("label")
+            if (
+                type(name) is str
+                and type(label) is int
+                and label >= 0
+                and name not in position
+                and _VERTEX_ID.fullmatch(name)
+            ):
+                position[name] = index
+                labels.append(label)
+                continue
+        _add_vertex(index, entry, position, labels)
 
     raw_edges = _want(raw, "edges", "document")
     if not isinstance(raw_edges, list) or not raw_edges:
         raise DocumentError("document needs a non-empty 'edges' list")
     edges: dict[tuple[int, int], None] = {}
     for index, entry in enumerate(raw_edges):
-        context = f"edges[{index}]"
-        a = _want_str(_want(entry, "from", context), context)
-        b = _want_str(_want(entry, "to", context), context)
-        if a == b:
-            raise DocumentError(f"{context}: self-loop at {a}")
-        if a not in position or b not in position:
-            raise DocumentError(f"{context}: edge references an unknown vertex")
-        i, j = sorted((position[a], position[b]))
-        if (i, j) in edges:
-            raise DocumentError(f"{context}: duplicate edge {a}-{b}")
-        edges[i, j] = None
+        if type(entry) is dict:
+            a, b = entry.get("from"), entry.get("to")
+            if type(a) is str and type(b) is str and a in position and b in position:
+                i, j = position[a], position[b]
+                key = (i, j) if i < j else (j, i)
+                if i != j and key not in edges:
+                    edges[key] = None
+                    continue
+        _add_edge(index, entry, position, edges)
 
     q = _want_int(_want(raw, "q", "document"), "q")
     if q != len(edges):

@@ -119,7 +119,11 @@ def parse_edge_list(text: str) -> list[tuple[int, int]]:
         # ASCII decimal digits only: int() would also take "1_0", "+3" and "٣"
         if not all(part.isascii() and part.isdigit() for part in parts):
             raise DocumentError(f"line {lineno}: vertex indices must be integers")
-        a, b = int(parts[0]), int(parts[1])
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            # the interpreter's limit on the digits of an int (4,300 by default)
+            raise DocumentError(f"line {lineno}: integer too large") from None
         if a < 1 or b < 1:
             raise DocumentError(f"line {lineno}: vertex indices must be positive")
         edges.append((a, b))

@@ -139,6 +139,13 @@ class TestVerify:
         assert err.startswith("error:") and "nested too deeply" in err
         assert "Traceback" not in err
 
+    def test_oversized_integer_is_a_parse_error(self, capsys, tmp_path):
+        target = tmp_path / "big.json"
+        target.write_text('{"graph": {"m": 4, "n": 3}, "q": 1, "x": 1' + "0" * 5000 + "}\n")
+        assert run(capsys, "verify", "--input", str(target)) == (
+            64, "", "error: invalid JSON: integer too large\n",
+        )
+
 
 class TestSearch:
     def test_c3_exhausts(self, capsys):
@@ -175,6 +182,13 @@ class TestSearch:
         assert code == 64
         assert out == ""
         assert "line 2: vertex indices must be integers" in err
+
+    def test_edges_file_with_oversized_index(self, capsys, tmp_path):
+        listing = tmp_path / "graph.txt"
+        listing.write_text("1 " + "2" * 5000 + "\n")
+        assert run(capsys, "search", "--edges", str(listing)) == (
+            64, "", "error: line 1: integer too large\n",
+        )
 
     def test_degenerate_cycle_term(self, capsys):
         code, _, err = run(capsys, "search", "--spec", "C2")

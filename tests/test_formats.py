@@ -1,14 +1,19 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
 from oddgraceful import (
     DocumentError,
+    SearchStatus,
+    algorithmic_labeling,
     build_union_graph,
     closed_form_labeling,
+    exhaustive_search,
     validate_params,
     verify_odd_graceful,
 )
-from oddgraceful.construction import min_path_length
+from oddgraceful.construction import force_params, min_path_length
 from oddgraceful.formats import (
     document_to_json,
     labeling_document,
@@ -17,6 +22,9 @@ from oddgraceful.formats import (
     to_csv,
     to_dot,
 )
+from oddgraceful.graphspec import parse_graph_spec, topology_from_spec
+from test_fuzz import field_paths
+from test_golden import mutated
 
 GOLDEN_JSON = """\
 {
@@ -152,6 +160,86 @@ class TestGoldenOutputs:
         assert first == second
 
 
+def json_dumps_outcome(render, document):
+    """The text a writer returns, or the ValueError it raises."""
+    try:
+        return render(document)
+    except ValueError as exc:
+        return repr(exc)
+
+
+def reference_json(document):
+    return json.dumps(document, indent=2) + "\n"
+
+
+def scalar_paths(value, prefix=()):
+    """Every key/index path to a scalar field below the document root."""
+    for path in field_paths(value, prefix):
+        leaf = value
+        for key in path:
+            leaf = leaf[key]
+        if not isinstance(leaf, (dict, list)):
+            yield path
+
+
+SEARCH_FOUND = ("C4+P2", "C6+P2", "C8+P3", "C8+P4", "C8+P5", "C10+P5", "C12+P4", "C4+C4")
+
+# json.dumps raises ValueError on the 5,000-digit int, so the writer must too
+SLOT_VALUES = {
+    "true": True,
+    "none": None,
+    "float": 1.5,
+    "negative": -1,
+    "5000-digits": 10**4999,
+    "empty": "",
+    "escapes": 'a"b\\c\nd',
+    "non-ascii": "\u00fcber \u2603 \U0001f600",
+    "nested": [1, {"a": [], "b": [2.5]}],
+}
+
+
+class TestJsonBytes:
+    """``document_to_json`` writes the bytes of ``json.dumps(document, indent=2)``."""
+
+    def assert_same_bytes(self, document):
+        assert json_dumps_outcome(document_to_json, document) == json_dumps_outcome(
+            reference_json, document
+        )
+
+    # C40+P10001 has q = 10,040
+    @pytest.mark.parametrize("method", [closed_form_labeling, algorithmic_labeling])
+    @pytest.mark.parametrize("m, n", [(4, 3), (6, 3), (8, 7), (12, 11), (40, 10_001)])
+    def test_in_range_unions(self, method, m, n):
+        self.assert_same_bytes(
+            labeling_document(build_union_graph(m, n), method(validate_params(m, n)))
+        )
+
+    @pytest.mark.parametrize("method", [closed_form_labeling, algorithmic_labeling])
+    @pytest.mark.parametrize("m, n", [(4, 1), (6, 2), (8, 3), (10, 6), (12, 1)])
+    def test_forced_below_bound_unions(self, method, m, n):
+        self.assert_same_bytes(
+            labeling_document(build_union_graph(m, n), method(force_params(m, n)))
+        )
+
+    @pytest.mark.parametrize("spec", SEARCH_FOUND)
+    def test_search_certificates(self, spec):
+        topology = topology_from_spec(parse_graph_spec(spec))
+        outcome = exhaustive_search(topology)
+        assert outcome.status is SearchStatus.FOUND
+        self.assert_same_bytes(labeling_document(topology, outcome.labeling))
+
+    @pytest.mark.parametrize("value", SLOT_VALUES.values(), ids=SLOT_VALUES.keys())
+    def test_any_value_in_any_field(self, c4p3, value):
+        original = labeling_document(*c4p3)
+        paths = list(scalar_paths(original))
+        assert len(paths) == 2 + 1 + 7 * 2 + 6 * 3
+        for path in paths:
+            self.assert_same_bytes(mutated(original, path, value))
+
+    def test_empty_lists(self, c4p3):
+        self.assert_same_bytes({**labeling_document(*c4p3), "vertices": [], "edges": []})
+
+
 class TestRoundTrip:
     def test_json_round_trip(self, c4p3):
         topology, labeling = c4p3
@@ -197,6 +285,13 @@ class TestDocumentErrors:
     def test_nested_too_deeply(self, text):
         with pytest.raises(DocumentError, match="nested too deeply"):
             parse_labeling_document(text)
+
+    def test_integer_too_large(self):
+        # json.loads raises a plain ValueError past the interpreter's digit limit
+        text = '{"graph": {"m": 4, "n": 3}, "q": 1, "x": 1' + "0" * 5000 + "}"
+        with pytest.raises(DocumentError) as excinfo:
+            parse_labeling_document(text)
+        assert str(excinfo.value) == "invalid JSON: integer too large"
 
     def test_q_mismatch(self, c4p3):
         doc = labeling_document(*c4p3)

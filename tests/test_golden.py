@@ -1,18 +1,24 @@
-"""Golden outputs: the exact bytes of generate, verify and search, and the
-error raised for every small (m, n).
+"""Golden outputs: the exact bytes of generate, verify and search, the
+error raised for every small (m, n), and the parse of every single-field
+mutation of two labeling documents.
 
 The expected values are fixed records of the command line's output. Any
 change to serialization, violation text, search order or statistics, or to
 (m, n) validation shows up here as a failure.
 """
 
+import copy
 import hashlib
+import json
 
 import pytest
 
+from oddgraceful import DocumentError, closed_form_labeling
 from oddgraceful.cli import main
 from oddgraceful.construction import force_params, validate_params
+from oddgraceful.formats import labeling_document, parse_labeling_document
 from oddgraceful.graphs import build_union_graph
+from test_fuzz import field_paths
 
 
 def run(capsys, *argv):
@@ -191,3 +197,65 @@ def error_grid(gate):
 )
 def test_error_grid(gate, expected):
     assert error_grid(gate) == expected
+
+
+DELETE = object()
+
+MUTATIONS = {
+    "delete": DELETE,
+    "None": None,
+    "True": True,
+    "-1": -1,
+    "0": 0,
+    "u1": "u1",
+    "v9": "v9",
+    "z1": "z1",
+    "[]": [],
+    "{}": {},
+}
+
+# (m, n) -> (mutations parsed, mutations accepted, sha256 of the records)
+MUTATION_GOLDEN = {
+    (4, 3): (510, 70, "5fa10544c67cc249e7a8444eb9d5187433a2f0c2e4ce506ebfaaab35cafed8ab"),
+    (8, 7): (1070, 158, "e41838046005dbdacd0be9b58cdfafd0acb54deb756aa723512265afd12a2b37"),
+}
+
+
+def parse_record(text):
+    """What the parser makes of a document: its result or its exact error."""
+    try:
+        topology, labels = parse_labeling_document(text)
+    except DocumentError as exc:
+        return f"error: {exc}"
+    return f"ok: {topology.m} {topology.n} {topology.names} {topology.edges} {labels}"
+
+
+def mutated(document, path, value):
+    """A copy of ``document`` with the field at ``path`` set to ``value`` or deleted."""
+    copied = copy.deepcopy(document)
+    parent = copied
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return copied
+
+
+def mutation_records(document):
+    for path in field_paths(document):
+        for name, value in MUTATIONS.items():
+            text = json.dumps(mutated(document, path, value))
+            yield f"{path} {name} -> {parse_record(text)}"
+
+
+@pytest.mark.parametrize("m, n", sorted(MUTATION_GOLDEN), ids=["C4+P3", "C8+P7"])
+def test_single_field_mutations(m, n):
+    document = labeling_document(
+        build_union_graph(m, n), closed_form_labeling(validate_params(m, n))
+    )
+    records = list(mutation_records(document))
+    accepted = sum(" -> ok: " in record for record in records)
+    digest = sha256("\n".join(records) + "\n")
+    assert (len(records), accepted, digest) == MUTATION_GOLDEN[m, n]

@@ -86,6 +86,12 @@ class TestParseEdgeList:
         with pytest.raises(DocumentError, match="line 2: vertex indices must be integers"):
             parse_edge_list(f"1 2\n{index} 2\n")
 
+    def test_oversized_index_rejected(self):
+        # int() raises a plain ValueError past the interpreter's digit limit
+        with pytest.raises(DocumentError) as excinfo:
+            parse_edge_list("1 2\n3 " + "4" * 5000 + "\n")
+        assert str(excinfo.value) == "line 2: integer too large"
+
     def test_leading_zeros_are_decimal(self):
         assert parse_edge_list("01 002\n") == [(1, 2)]
 
