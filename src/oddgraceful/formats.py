@@ -6,10 +6,13 @@ v_1..v_n), edges likewise (cycle edges then path edges). Stored edge labels
 are derived data; verification always recomputes them from vertex labels, so
 a document with tampered vertex labels is judged on substance.
 
-``document_to_json`` returns the same bytes as ``json.dumps(document,
-indent=2)`` plus a newline: two-space indent, one field per line, non-ASCII
-escaped. ``parse_labeling_document`` accepts any JSON layout. Output is
-byte-identical across runs for identical inputs.
+``document_to_json`` renders a ``labeling_document`` (ints and vertex-id
+strings) to the bytes of ``json.dumps(document, indent=2)`` plus a newline:
+two-space indent, one field per line, non-ASCII escaped.
+``parse_labeling_document`` accepts any JSON layout, checks each entry once
+and reports its first failed check, and returns ``build_union_graph(m, n)``
+for a union document. Output is byte-identical across runs for identical
+inputs.
 """
 
 from __future__ import annotations
@@ -39,35 +42,11 @@ def labeling_document(topology: GraphTopology, labeling: Labeling) -> dict:
     }
 
 
-# json.dumps(document, indent=2), with a %s slot for each field value
-_HEADER = '{\n  "graph": {\n    "m": %s,\n    "n": %s\n  },\n  "q": %s,\n  "vertices": '
-_VERTEX = '    {\n      "id": %s,\n      "label": %s\n    }'
-_EDGE = '    {\n      "from": %s,\n      "to": %s,\n      "label": %s\n    }'
+# json.dumps(document, indent=2), with a slot for each field value
+_HEADER = '{\n  "graph": {\n    "m": %d,\n    "n": %d\n  },\n  "q": %d,\n  "vertices": '
+_VERTEX = '    {\n      "id": %s,\n      "label": %d\n    }'
+_EDGE = '    {\n      "from": %s,\n      "to": %s,\n      "label": %d\n    }'
 _encode_str = json.encoder.encode_basestring_ascii
-
-
-def _field(value, depth: int) -> str:
-    """A field value as ``json.dumps(..., indent=2)`` writes it at ``depth``."""
-    kind = type(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is str:
-        return _encode_str(value)
-    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
-
-
-def _vertex_json(entry: dict) -> str:
-    name, label = entry["id"], entry["label"]
-    if type(name) is str and type(label) is int:
-        return _VERTEX % (_encode_str(name), label)
-    return _VERTEX % (_field(name, 3), _field(label, 3))
-
-
-def _edge_json(entry: dict) -> str:
-    a, b, label = entry["from"], entry["to"], entry["label"]
-    if type(a) is str and type(b) is str and type(label) is int:
-        return _EDGE % (_encode_str(a), _encode_str(b), label)
-    return _EDGE % (_field(a, 3), _field(b, 3), _field(label, 3))
 
 
 def _json_list(items: list[str]) -> str:
@@ -77,16 +56,21 @@ def _json_list(items: list[str]) -> str:
 def document_to_json(document: dict) -> str:
     """The bytes of ``json.dumps(document, indent=2)`` plus a newline.
 
-    ``document`` has the keys and nesting of a :func:`labeling_document`,
-    in that order, and any JSON value may stand in a field. The text is
-    filled into fixed templates instead, because ``json.dumps`` with an
-    indent runs its pure-Python encoder on every entry.
+    ``document`` is a :func:`labeling_document`: its keys and nesting, ints
+    in the size and label fields and strings in the vertex-id fields. Ints
+    are written with ``%d`` and strings with ``encode_basestring_ascii``,
+    the C function ``json.dumps`` uses, into fixed templates, because
+    ``json.dumps`` with an indent runs its pure-Python encoder on every
+    entry.
     """
     graph = document["graph"]
-    header = _HEADER % (_field(graph["m"], 2), _field(graph["n"], 2), _field(document["q"], 1))
-    vertices = _json_list(list(map(_vertex_json, document["vertices"])))
-    edges = _json_list(list(map(_edge_json, document["edges"])))
-    return header + vertices + ',\n  "edges": ' + edges + "\n}\n"
+    header = _HEADER % (graph["m"], graph["n"], document["q"])
+    vertices = [_VERTEX % (_encode_str(v["id"]), v["label"]) for v in document["vertices"]]
+    edges = [
+        _EDGE % (_encode_str(e["from"]), _encode_str(e["to"]), e["label"])
+        for e in document["edges"]
+    ]
+    return header + _json_list(vertices) + ',\n  "edges": ' + _json_list(edges) + "\n}\n"
 
 
 def _want(mapping: dict, key: str, context: str):
@@ -102,54 +86,12 @@ def _want_int(value, context: str) -> int:
     return value
 
 
-def _want_str(value, context: str) -> str:
-    if not isinstance(value, str):
-        raise DocumentError(f"{context}: expected a vertex id string, got {value!r}")
-    return value
-
-
-def _add_vertex(index: int, entry, position: dict[str, int], labels: list[int]) -> None:
-    """Record vertex entry ``index``, or raise the error of its first failed check.
-
-    The parse loop tests the common case inline, without building the
-    context string, and comes here for every entry that test does not pass.
-    """
-    context = f"vertices[{index}]"
-    name = _want_str(_want(entry, "id", context), context)
-    if not _VERTEX_ID.fullmatch(name):
-        raise DocumentError(f"{context}: malformed vertex id {name!r}")
-    label = _want_int(_want(entry, "label", context), f"{context}.label")
-    if label < 0:
-        raise DocumentError(f"{context}: label must be non-negative, got {label}")
-    if name in position:
-        raise DocumentError(f"{context}: duplicate vertex id {name}")
-    position[name] = index
-    labels.append(label)
-
-
-def _add_edge(
-    index: int, entry, position: dict[str, int], edges: dict[tuple[int, int], None]
-) -> None:
-    """Record edge entry ``index``, or raise the error of its first failed check."""
-    context = f"edges[{index}]"
-    a = _want_str(_want(entry, "from", context), context)
-    b = _want_str(_want(entry, "to", context), context)
-    if a == b:
-        raise DocumentError(f"{context}: self-loop at {a}")
-    if a not in position or b not in position:
-        raise DocumentError(f"{context}: edge references an unknown vertex")
-    i, j = sorted((position[a], position[b]))
-    if (i, j) in edges:
-        raise DocumentError(f"{context}: duplicate edge {a}-{b}")
-    edges[i, j] = None
-
-
 def parse_labeling_document(text: str) -> tuple[GraphTopology, Labeling]:
     """Parse a JSON labeling document back into a topology and labeling.
 
     Vertices keep their listed order. A document that names a union graph
     (``graph.m`` or ``graph.n`` non-zero) must list exactly the topology of
-    ``C_m + P_n``.
+    ``C_m + P_n``, and that topology is the one returned.
     """
     try:
         raw = json.loads(text)
@@ -171,57 +113,73 @@ def parse_labeling_document(text: str) -> tuple[GraphTopology, Labeling]:
     if m < 0 or n < 0:
         raise DocumentError(f"graph sizes must be non-negative, got m={m}, n={n}")
 
+    # json.loads makes every object a dict, every string a str, and every
+    # number without a fraction an int (true and false are bools, not ints)
     raw_vertices = _want(raw, "vertices", "document")
     if not isinstance(raw_vertices, list) or not raw_vertices:
         raise DocumentError("document needs a non-empty 'vertices' list")
     position: dict[str, int] = {}
     labels: list[int] = []
     for index, entry in enumerate(raw_vertices):
-        if type(entry) is dict:
-            name, label = entry.get("id"), entry.get("label")
-            if (
-                type(name) is str
-                and type(label) is int
-                and label >= 0
-                and name not in position
-                and _VERTEX_ID.fullmatch(name)
-            ):
-                position[name] = index
-                labels.append(label)
-                continue
-        _add_vertex(index, entry, position, labels)
+        if type(entry) is not dict or "id" not in entry:
+            raise DocumentError(f"vertices[{index}]: missing 'id'")
+        name = entry["id"]
+        if type(name) is not str:
+            raise DocumentError(f"vertices[{index}]: expected a vertex id string, got {name!r}")
+        if not _VERTEX_ID.fullmatch(name):
+            raise DocumentError(f"vertices[{index}]: malformed vertex id {name!r}")
+        if "label" not in entry:
+            raise DocumentError(f"vertices[{index}]: missing 'label'")
+        label = entry["label"]
+        if type(label) is not int:
+            raise DocumentError(f"vertices[{index}].label: expected an integer, got {label!r}")
+        if label < 0:
+            raise DocumentError(f"vertices[{index}]: label must be non-negative, got {label}")
+        if name in position:
+            raise DocumentError(f"vertices[{index}]: duplicate vertex id {name}")
+        position[name] = index
+        labels.append(label)
 
     raw_edges = _want(raw, "edges", "document")
     if not isinstance(raw_edges, list) or not raw_edges:
         raise DocumentError("document needs a non-empty 'edges' list")
     edges: dict[tuple[int, int], None] = {}
     for index, entry in enumerate(raw_edges):
-        if type(entry) is dict:
-            a, b = entry.get("from"), entry.get("to")
-            if type(a) is str and type(b) is str and a in position and b in position:
-                i, j = position[a], position[b]
-                key = (i, j) if i < j else (j, i)
-                if i != j and key not in edges:
-                    edges[key] = None
-                    continue
-        _add_edge(index, entry, position, edges)
+        if type(entry) is not dict or "from" not in entry:
+            raise DocumentError(f"edges[{index}]: missing 'from'")
+        a = entry["from"]
+        if type(a) is not str:
+            raise DocumentError(f"edges[{index}]: expected a vertex id string, got {a!r}")
+        if "to" not in entry:
+            raise DocumentError(f"edges[{index}]: missing 'to'")
+        b = entry["to"]
+        if type(b) is not str:
+            raise DocumentError(f"edges[{index}]: expected a vertex id string, got {b!r}")
+        if a == b:
+            raise DocumentError(f"edges[{index}]: self-loop at {a}")
+        i, j = position.get(a), position.get(b)
+        if i is None or j is None:
+            raise DocumentError(f"edges[{index}]: edge references an unknown vertex")
+        key = (i, j) if i < j else (j, i)
+        if key in edges:
+            raise DocumentError(f"edges[{index}]: duplicate edge {a}-{b}")
+        edges[key] = None
 
     q = _want_int(_want(raw, "q", "document"), "q")
     if q != len(edges):
         raise DocumentError(f"document says q={q} but lists {len(edges)} edges")
 
-    topology = GraphTopology(names=tuple(position), edges=tuple(edges), m=m, n=n)
-    if m or n:
-        try:
-            # the size check comes first, so a huge m or n is never built
-            matches = len(position) == m + n and topology == build_union_graph(m, n)
-        except OddGracefulError as exc:
-            raise DocumentError(f"graph m={m}, n={n}: {exc}") from None
-        if not matches:
-            raise DocumentError(
-                f"graph m={m}, n={n}: the listed vertices and edges are not C{m}+P{n}"
-            )
-    return topology, tuple(labels)
+    names, pairs = tuple(position), tuple(edges)
+    if not (m or n):
+        return GraphTopology(names=names, edges=pairs, m=0, n=0), tuple(labels)
+    try:
+        # the size check comes first, so a huge m or n is never built
+        union = len(names) == m + n and build_union_graph(m, n)
+    except OddGracefulError as exc:
+        raise DocumentError(f"graph m={m}, n={n}: {exc}") from None
+    if not union or union.names != names or union.edges != pairs:
+        raise DocumentError(f"graph m={m}, n={n}: the listed vertices and edges are not C{m}+P{n}")
+    return union, tuple(labels)
 
 
 def to_dot(topology: GraphTopology, labeling: Labeling) -> str:

@@ -172,29 +172,26 @@ def reference_json(document):
     return json.dumps(document, indent=2) + "\n"
 
 
-def scalar_paths(value, prefix=()):
-    """Every key/index path to a scalar field below the document root."""
-    for path in field_paths(value, prefix):
-        leaf = value
+def paths_of_type(document, kind):
+    """Every key/index path to a field whose value is exactly of type ``kind``."""
+    for path in field_paths(document):
+        leaf = document
         for key in path:
             leaf = leaf[key]
-        if not isinstance(leaf, (dict, list)):
+        if type(leaf) is kind:
             yield path
 
 
 SEARCH_FOUND = ("C4+P2", "C6+P2", "C8+P3", "C8+P4", "C8+P5", "C10+P5", "C12+P4", "C4+C4")
 
-# json.dumps raises ValueError on the 5,000-digit int, so the writer must too
+# each value stands in every field of its own type; json.dumps raises
+# ValueError on the 5,000-digit int, so the writer must too
 SLOT_VALUES = {
-    "true": True,
-    "none": None,
-    "float": 1.5,
     "negative": -1,
     "5000-digits": 10**4999,
     "empty": "",
     "escapes": 'a"b\\c\nd',
     "non-ascii": "\u00fcber \u2603 \U0001f600",
-    "nested": [1, {"a": [], "b": [2.5]}],
 }
 
 
@@ -231,8 +228,9 @@ class TestJsonBytes:
     @pytest.mark.parametrize("value", SLOT_VALUES.values(), ids=SLOT_VALUES.keys())
     def test_any_value_in_any_field(self, c4p3, value):
         original = labeling_document(*c4p3)
-        paths = list(scalar_paths(original))
-        assert len(paths) == 2 + 1 + 7 * 2 + 6 * 3
+        paths = list(paths_of_type(original, type(value)))
+        # m, n, q and every label hold ints; every id, from and to a string
+        assert len(paths) == (2 + 1 + 7 + 6 if type(value) is int else 7 + 6 * 2)
         for path in paths:
             self.assert_same_bytes(mutated(original, path, value))
 
@@ -327,7 +325,7 @@ class TestDocumentErrors:
         doc = labeling_document(*c4p3)
         doc["vertices"][0]["label"] = True
         with pytest.raises(DocumentError, match="expected an integer"):
-            parse_labeling_document(document_to_json(doc))
+            parse_labeling_document(json.dumps(doc))
 
     def test_malformed_vertex_id(self, c4p3):
         doc = labeling_document(*c4p3)
@@ -340,6 +338,42 @@ class TestDocumentErrors:
         doc["edges"][0]["to"] = "z1"
         with pytest.raises(DocumentError, match="unknown vertex"):
             parse_labeling_document(document_to_json(doc))
+
+    @pytest.mark.parametrize(
+        "where, index, entry, error",
+        [
+            ("vertices", 0, {"id": "z1", "label": True}, "vertices[0]: malformed vertex id 'z1'"),
+            ("vertices", 0, {}, "vertices[0]: missing 'id'"),
+            (
+                "vertices", 1, {"id": "u1", "label": -1},
+                "vertices[1]: label must be non-negative, got -1",
+            ),
+            (
+                "edges", 0, {"from": 1, "label": 11},
+                "edges[0]: expected a vertex id string, got 1",
+            ),
+            ("edges", 0, {"from": "v9", "to": "v9", "label": 0}, "edges[0]: self-loop at v9"),
+            (
+                "edges", 1, {"from": "u2", "to": "u1", "label": 11},
+                "edges[1]: duplicate edge u2-u1",
+            ),
+        ],
+        ids=[
+            "malformed-id-bool-label",
+            "no-id-no-label",
+            "duplicate-id-negative-label",
+            "int-from-no-to",
+            "self-loop-unknown-endpoint",
+            "duplicate-reversed-edge",
+        ],
+    )
+    def test_first_failed_check_wins(self, c4p3, where, index, entry, error):
+        # each entry breaks two checks; the error names the one checked first
+        doc = labeling_document(*c4p3)
+        doc[where][index] = entry
+        with pytest.raises(DocumentError) as excinfo:
+            parse_labeling_document(json.dumps(doc))
+        assert str(excinfo.value) == error
 
     @pytest.mark.parametrize("graph", [{"m": 4, "n": 3}, {"m": 1, "n": 1}, {"m": 0, "n": 2}])
     def test_graph_sizes_must_match_topology(self, graph):
