@@ -131,7 +131,10 @@ def exhaustive_search(
     nodes = tried = 0
     status = SearchStatus.EXHAUSTED_NONE
     limit = budget.time_limit_ms
-    deadline = None if limit is None else time.perf_counter() + limit / 1000.0
+    try:
+        deadline = None if limit is None else time.perf_counter() + limit / 1000.0
+    except OverflowError:  # a limit beyond any float is never reached
+        deadline = None
 
     depth = start = 0
     while depth < size:

@@ -2,9 +2,11 @@
 
 A labeling of a graph with q edges passes when the vertex labels are distinct
 values in [0, 2q-1] and the induced absolute differences over the edges are
-exactly the odd values 1, 3, ..., 2q-1, each exactly once. The checks accept
-arbitrary topologies, not just cycle-path unions, so the same code certifies
-search results.
+exactly the odd values 1, 3, ..., 2q-1, each exactly once. A pass check of
+set and min/max operations over whole lists runs first; only a labeling that
+fails it goes through the itemizing checks, which name every violation. The
+checks accept arbitrary topologies, not just cycle-path unions, so the same
+code certifies search results.
 """
 
 from __future__ import annotations
@@ -100,13 +102,31 @@ def edge_labels(topology: GraphTopology, labeling: Labeling) -> tuple[int, ...]:
 
 
 def verify_odd_graceful(topology: GraphTopology, labeling: Labeling) -> VerificationReport:
-    """Run every check and report all violations in deterministic order.
+    """Report whether ``labeling`` is odd graceful, with every violation.
 
-    Order of findings: vertex labels out of range (vertex order), duplicate
-    vertex labels (by first holder), even edge labels (edge order), duplicate
-    edge labels (by first holder), then a single finding for any odd values
-    absent from the induced edge labels.
+    A pass check runs first: distinct vertex labels in [0, 2q-1] whose
+    induced labels are exactly the q odd values 1..2q-1. Only when it fails
+    do the itemizing checks run. Their order of findings: vertex labels out
+    of range (vertex order), duplicate vertex labels (by first holder), even
+    edge labels (edge order), duplicate edge labels (by first holder), then a
+    single finding for any odd values absent from the induced edge labels.
     """
+    induced = edge_labels(topology, labeling)
+    upper = 2 * topology.q - 1
+    if (
+        len(labeling)
+        and 0 <= min(labeling)
+        and max(labeling) <= upper
+        and len(set(labeling)) == len(labeling)
+        and set(induced) == set(range(1, upper + 1, 2))
+    ):
+        return VerificationReport(is_odd_graceful=True, violations=())
+    violations = _violations(topology, labeling)
+    return VerificationReport(is_odd_graceful=not violations, violations=tuple(violations))
+
+
+def _violations(topology: GraphTopology, labeling: Labeling) -> list[Violation]:
+    """Every violation of ``labeling``, in the order ``verify_odd_graceful`` reports."""
     names, edges = topology.names, topology.edges
     induced = edge_labels(topology, labeling)
     upper = 2 * topology.q - 1
@@ -149,7 +169,7 @@ def verify_odd_graceful(topology: GraphTopology, labeling: Labeling) -> Verifica
     if missing:
         violations.append(EdgeLabelSetIncomplete(missing=missing))
 
-    return VerificationReport(is_odd_graceful=not violations, violations=tuple(violations))
+    return violations
 
 
 def complement_labeling(topology: GraphTopology, labeling: Labeling) -> Labeling:

@@ -168,6 +168,11 @@ class TestSearch:
         assert code == 3
         assert "status: budget-exhausted" in out
 
+    def test_timeout_beyond_a_float_is_no_limit(self, capsys):
+        code, out, err = run(capsys, "search", "--spec", "C4", "--timeout-ms", "1" + "0" * 400)
+        assert (code, err) == (0, "")
+        assert out.startswith("status: found\n")
+
     def test_edges_file(self, capsys, tmp_path):
         listing = tmp_path / "square.txt"
         listing.write_text("1 2\n2 3\n3 4\n4 1\n")

@@ -1,12 +1,13 @@
-"""Fuzzed parser inputs: each parser raises only its own error class, and
-``verify`` ends every document in exit code 0, 1 or 64."""
+"""Fuzzed inputs: each parser raises only its own error class, ``verify``
+ends every document in exit code 0, 1 or 64, and the verifier's pass check
+agrees with its itemizing checks."""
 
 import contextlib
 import copy
 import io
 import json
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oddgraceful import (
     DocumentError,
@@ -17,7 +18,9 @@ from oddgraceful import (
 )
 from oddgraceful.cli import main
 from oddgraceful.formats import labeling_document, parse_labeling_document
+from oddgraceful.graphs import build_free_graph
 from oddgraceful.graphspec import parse_edge_list, parse_graph_spec
+from oddgraceful.verification import _violations, verify_odd_graceful
 
 SCALARS = (
     st.none()
@@ -98,3 +101,35 @@ def test_documents_parse_or_fail_cleanly(tmp_path_factory, text):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["verify", "--input", str(target)])
     assert code in expected
+
+
+@st.composite
+def labeled_graphs(draw):
+    """A free graph on at most 6 vertices and a labeling of it: labels drawn
+    from [-1, 2q], distinct or not, or labels whose parity flips along each
+    edge in edge order, so that most induced labels are odd."""
+    edges = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1))
+    edges = [(a, b) for a, b in edges if a != b] or [(1, 2)]
+    topology = build_free_graph(edges)
+    size, top = len(topology.names), 2 * topology.q - 1
+    kind = draw(st.sampled_from(["any", "distinct", "by parity"]))
+    if kind == "any":
+        labeling = draw(st.lists(st.integers(-1, top + 1), min_size=size, max_size=size))
+    elif kind == "distinct":
+        labeling = draw(st.permutations(range(-1, top + 2)))[:size]
+    else:
+        parities = [0] * size
+        for a, b in topology.edges:
+            parities[b] = 1 - parities[a]
+        evens, odds = range(0, top + 1, 2), range(1, top + 1, 2)
+        labeling = [draw(st.sampled_from(odds if side else evens)) for side in parities]
+    return topology, tuple(labeling)
+
+
+@given(labeled_graphs())
+# induced labels 1 and 1: odd and in range, but not distinct
+@example((build_free_graph([(1, 2), (2, 3)]), (0, 1, 2)))
+def test_pass_check_agrees_with_itemizing(case):
+    topology, labeling = case
+    report = verify_odd_graceful(topology, labeling)
+    assert report.is_odd_graceful == (not _violations(topology, labeling))

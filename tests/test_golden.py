@@ -1,6 +1,7 @@
 """Golden outputs: the exact bytes of generate, verify and search, the
-error raised for every small (m, n), and the parse of every single-field
-mutation of two labeling documents.
+error raised for every small (m, n), the parse of every single-field
+mutation of two labeling documents and of C8+P7 in other layouts, and the
+verifier's report on every single mutation of a set of labelings.
 
 The expected values are fixed records of the command line's output. Any
 change to serialization, violation text, search order or statistics, or to
@@ -15,10 +16,13 @@ import pytest
 
 from oddgraceful import DocumentError, closed_form_labeling
 from oddgraceful.cli import main
-from oddgraceful.construction import force_params, validate_params
-from oddgraceful.formats import labeling_document, parse_labeling_document
+from oddgraceful.construction import force_params, min_path_length, validate_params
+from oddgraceful.formats import labeling_document, parse_labeling_document, violation_to_dict
 from oddgraceful.graphs import build_union_graph
+from oddgraceful.graphspec import parse_graph_spec, topology_from_spec
+from oddgraceful.verification import complement_labeling, verify_odd_graceful
 from test_fuzz import field_paths
+from test_search_golden import SUITE
 
 
 def run(capsys, *argv):
@@ -259,3 +263,147 @@ def test_single_field_mutations(m, n):
     accepted = sum(" -> ok: " in record for record in records)
     digest = sha256("\n".join(records) + "\n")
     assert (len(records), accepted, digest) == MUTATION_GOLDEN[m, n]
+
+
+def c8p7_document():
+    return labeling_document(build_union_graph(8, 7), closed_form_labeling(validate_params(8, 7)))
+
+
+def swapped(items, i, j):
+    items[i], items[j] = items[j], items[i]
+
+
+def reverse_edge(document, index):
+    edge = document["edges"][index]
+    edge["from"], edge["to"] = edge["to"], edge["from"]
+
+
+def set_all_edge_labels(document, value):
+    for edge in document["edges"]:
+        edge["label"] = value
+
+
+# valid documents in another layout: each parses like the document itself
+SAME_PARSE = {
+    "reversed cycle and path edges": lambda d: (reverse_edge(d, 0), reverse_edge(d, 10)),
+    "extra vertex and edge keys": lambda d: (
+        d["vertices"][3].update(note="x"), d["edges"][5].update(weight=1)
+    ),
+    "stored edge labels all 0": lambda d: set_all_edge_labels(d, 0),
+}
+
+# near misses of C8+P7 and the exact error each must raise
+NEAR_MISSES = {
+    "two vertex entries swapped": (
+        lambda d: swapped(d["vertices"], 2, 3),
+        "graph m=8, n=7: the listed vertices and edges are not C8+P7",
+    ),
+    "two edge entries swapped": (
+        lambda d: swapped(d["edges"], 2, 3),
+        "graph m=8, n=7: the listed vertices and edges are not C8+P7",
+    ),
+    "q written as true": (
+        lambda d: d.update(q=True),
+        "q: expected an integer, got True",
+    ),
+    "q written as 14.0": (
+        lambda d: d.update(q=14.0),
+        "q: expected an integer, got 14.0",
+    ),
+    "label written as 3.0": (
+        lambda d: d["vertices"][4].update(label=3.0),
+        "vertices[4].label: expected an integer, got 3.0",
+    ),
+    "label written as true": (
+        lambda d: d["vertices"][4].update(label=True),
+        "vertices[4].label: expected an integer, got True",
+    ),
+    "one vertex renamed": (
+        lambda d: d["vertices"][9].update(id="w2"),
+        "edges[8]: edge references an unknown vertex",
+    ),
+    "one edge to another vertex": (
+        lambda d: d["edges"][12].update(to="v1"),
+        "graph m=8, n=7: the listed vertices and edges are not C8+P7",
+    ),
+    "last edge dropped, q kept": (
+        lambda d: d["edges"].pop(),
+        "document says q=14 but lists 13 edges",
+    ),
+    "last edge dropped, q lowered": (
+        lambda d: (d["edges"].pop(), d.update(q=13)),
+        "graph m=8, n=7: the listed vertices and edges are not C8+P7",
+    ),
+    "one vertex dropped": (
+        lambda d: d["vertices"].pop(),
+        "edges[13]: edge references an unknown vertex",
+    ),
+}
+
+C8P7_RECORD = "a0ff774ef3ba64fed172fc1f22cabd59bfc90f90f3a8428901036db5b9bb7585"
+
+
+def test_union_layouts():
+    indented = json.dumps(c8p7_document(), indent=2)
+    assert sha256(parse_record(indented)) == C8P7_RECORD
+    assert parse_record(json.dumps(c8p7_document())) == parse_record(indented)
+    for name, change in SAME_PARSE.items():
+        document = c8p7_document()
+        change(document)
+        assert parse_record(json.dumps(document, indent=2)) == parse_record(indented), name
+    for name, (change, error) in NEAR_MISSES.items():
+        document = c8p7_document()
+        change(document)
+        assert parse_record(json.dumps(document, indent=2)) == f"error: {error}", name
+
+
+def verifier_cases():
+    """(name, topology, labeling): in-range unions and their complements,
+    forced unions below the bound, and the search suite's certificates."""
+    for m, n in ((4, 3), (8, 7), (12, 11)):
+        topology = build_union_graph(m, n)
+        labeling = closed_form_labeling(validate_params(m, n))
+        yield f"C{m}+P{n}", topology, labeling
+        yield f"C{m}+P{n} complement", topology, complement_labeling(topology, labeling)
+    for m in range(4, 13, 2):
+        for n in range(1, min_path_length(m)):
+            yield f"C{m}+P{n} forced", build_union_graph(m, n), closed_form_labeling(
+                force_params(m, n)
+            )
+    for (spec, symmetry), (_, _, _, certificate) in sorted(SUITE.items()):
+        if symmetry and certificate:
+            yield spec, topology_from_spec(parse_graph_spec(spec)), certificate
+
+
+def single_mutations(labeling, q):
+    """The labeling itself, then every swap, +-1 or +-2, -1 or 2q, and copy."""
+    yield "as is", labeling
+
+    def with_label(i, value):
+        return labeling[:i] + (value,) + labeling[i + 1:]
+
+    for i, label in enumerate(labeling):
+        for j in range(i + 1, len(labeling)):
+            yield f"swap {i} {j}", with_label(i, labeling[j])[:j] + (label,) + labeling[j + 1:]
+        for value in (label - 2, label - 1, label + 1, label + 2, -1, 2 * q):
+            yield f"{i} = {value}", with_label(i, value)
+        for j, other in enumerate(labeling):
+            if j != i:
+                yield f"{i} = label of {j}", with_label(i, other)
+
+
+# (reports, reports that pass, sha256 of the records)
+VERIFIER_GOLDEN = (
+    15185, 59, "10ed5daf1b6c811057928d016a0cf54b13a440ef7b7de1fcada0caefb4d3c815"
+)
+
+
+def test_verifier_reports():
+    records = []
+    for name, topology, labeling in verifier_cases():
+        for mutation, candidate in single_mutations(labeling, topology.q):
+            report = verify_odd_graceful(topology, candidate)
+            violations = [violation_to_dict(v) for v in report.violations]
+            records.append(f"{name} {mutation}: {report.is_odd_graceful} {json.dumps(violations)}")
+    passing = sum(": True []" in record for record in records)
+    assert (len(records), passing, sha256("\n".join(records) + "\n")) == VERIFIER_GOLDEN

@@ -94,6 +94,10 @@ class TestBudget:
         outcome = exhaustive_search(topology, SearchBudget(time_limit_ms=1))
         assert outcome.status is SearchStatus.BUDGET_EXHAUSTED
 
+    def test_time_limit_beyond_a_float_is_no_limit(self):
+        limited = exhaustive_search(SMALL_GRAPHS["C5"], SearchBudget(time_limit_ms=10**400))
+        assert limited == exhaustive_search(SMALL_GRAPHS["C5"])
+
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             SearchBudget(max_nodes=0)
