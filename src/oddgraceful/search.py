@@ -1,23 +1,34 @@
 """Exhaustive backtracking search for odd graceful labelings of small graphs.
 
-Labels are assigned depth-first in a connectivity-respecting vertex order, so
-each new assignment completes as many edges as possible and edge pruning
-bites early. Int bitsets hold the unused labels and the placed differences;
-on entering a depth, shifts and masks over its labelled neighbours build one
-mask of candidate labels, taken lowest first. Masks stay on an explicit stack
-while deeper levels run, so the depth is bounded by the budget, not by the
-recursion limit. Solutions come in complement pairs (f and 2q-1-f), so the
-first assigned vertex only needs labels 0..q-1; that restriction can be
-disabled and must not change any verdict.
+The search is difference-first, after Aldred & McKay (Bull. ICA 23, 1998)
+and Horton, *Graceful Trees: Statistics and Algorithms* (2003). Each level
+places D, the largest odd difference not yet induced: in any labeling some
+undone edge carries D, so the level tries each undone edge in edge order.
+An edge with both ends unlabelled takes a pair of free labels (x, x + D):
+first each pair with x on its first end, lowest x first, then each with x on
+its second end. An edge with one end labelled c gives its other end c - D or
+c + D, lower first. A placement stands only if every edge it completes has
+an odd difference not yet induced, which is checked on the ``free`` (unused
+labels) and ``used`` (induced differences) bitsets. The first level places
+2q-1, so it puts 0 and 2q-1 on one edge.
 
-Exhaustion cost grows factorially beyond q of roughly 10; a larger graph runs
-until a labeling is found or the budget runs out.
+Each level of the explicit stack holds a few ints: D, the edge, the mask of
+untried placements and the entry bitsets. Its depth is at most q, whatever
+the recursion limit. Once every difference is induced, every edge is done,
+and isolated vertices take the lowest free labels. Solutions come in
+complement pairs (f and 2q-1-f), which swap the orientation of the edge
+carrying 2q-1, so only one orientation of that edge is tried; that
+restriction can be disabled and must not change any verdict. A graph with
+more vertices than 2q labels has no labeling and ends at once.
+
+Exhaustion cost still grows exponentially with q (C9 takes 29,097 nodes,
+C11 about 1.2M); a larger graph runs until a labeling is found or the
+budget runs out.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
 import time
 from dataclasses import dataclass
 
@@ -47,10 +58,11 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class SearchStats:
-    """nodes_expanded counts consistent partial assignments reached;
+    """nodes_expanded counts placements that passed their check, each one
+    partial labeling reached;
 
-    assignments_tried counts labels passed over in assignment order, pruned
-    ones included.
+    assignments_tried counts placements attempted, failed ones included:
+    one per free pair and orientation, or per free label c - D or c + D.
     """
 
     nodes_expanded: int
@@ -64,35 +76,6 @@ class SearchOutcome:
     stats: SearchStats
 
 
-def assignment_order(topology: GraphTopology) -> tuple[int, ...]:
-    """Fixed assignment order of vertex indices: grow a connected frontier,
-    isolated vertices last.
-
-    The next vertex is the smallest index adjacent to the placed set; a new
-    component starts from its smallest index. A heap holds the frontier, so
-    this takes O((V + E) log V).
-    """
-    neighbors: list[list[int]] = [[] for _ in topology.names]
-    for a, b in topology.edges:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-    placed = [False] * len(neighbors)
-    order: list[int] = []
-    for start, adjacent in enumerate(neighbors):
-        frontier = [start] if adjacent and not placed[start] else []
-        while frontier:
-            vertex = heapq.heappop(frontier)
-            if placed[vertex]:
-                continue
-            placed[vertex] = True
-            order.append(vertex)
-            for other in neighbors[vertex]:
-                if not placed[other]:
-                    heapq.heappush(frontier, other)
-    order.extend(v for v, adjacent in enumerate(neighbors) if not adjacent)
-    return tuple(order)
-
-
 def exhaustive_search(
     topology: GraphTopology,
     budget: SearchBudget | None = None,
@@ -101,83 +84,123 @@ def exhaustive_search(
 ) -> SearchOutcome:
     """Find an odd graceful labeling or prove none exists, within budget.
 
-    Returns FOUND with the first certificate in assignment order (re-checked
-    by the verifier before being returned), EXHAUSTED_NONE once the full
-    symmetry-reduced space is explored, or BUDGET_EXHAUSTED. Identical inputs
-    always produce identical outcomes and statistics.
+    Returns FOUND with the first certificate in difference-first order
+    (re-checked by the verifier before being returned), EXHAUSTED_NONE once
+    the full symmetry-reduced space is explored, or BUDGET_EXHAUSTED.
+    Identical inputs always produce identical outcomes and statistics.
     """
     budget = budget or SearchBudget()
     if topology.q < 1:
         raise ValueError("search needs a topology with at least one edge")
 
     q, two_q = topology.q, 2 * topology.q
-    order = assignment_order(topology)
-    size = len(order)
-    position = {v: depth for depth, v in enumerate(order)}
-    # for each depth, the depths of its already-assigned neighbors, and their pairs
-    earlier: list[list[int]] = [[] for _ in order]
-    for a, b in topology.edges:
-        low, high = sorted((position[a], position[b]))
-        earlier[high].append(low)
-    pairs = [[(a, b) for i, a in enumerate(e) for b in e[:i]] for e in earlier]
-    # span[depth] has a bit for each label tried at that depth, tried lowest first
-    span = [(1 << two_q) - 1] * size
-    span[0] = (1 << (q if complement_symmetry else two_q)) - 1
-    opposite = (int("10" * q, 2), int("01" * q, 2))  # odd distance from c, by c & 1
-    # free: unused labels; used: bit d per placed difference d; mirror: bit 2q-d
-    free, used, mirror = (1 << two_q) - 1, 0, 0
-    # the explicit stack: each depth's label, untried candidates and entry bitsets
-    chosen, candidates, saved = [0] * size, [0] * size, [(0, 0, 0)] * size
+    edges = topology.edges
+    label = [-1] * len(topology.names)
+    if len(label) > two_q:  # not enough distinct labels
+        return SearchOutcome(SearchStatus.EXHAUSTED_NONE, None, SearchStats(0, 0))
+    neighbors: list[list[int]] = [[] for _ in label]
+    incident = [0] * len(label)  # bit i per edge i at the vertex
+    for i, (a, b) in enumerate(edges):
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+        incident[a] |= 1 << i
+        incident[b] |= 1 << i
+    odd = int("10" * q, 2)  # bit d for every odd d < 2q: all differences induced
+    # free: unused labels; used: bit d per induced difference d; undone: bit i
+    # per edge with an unlabelled end; touched: the edges at labelled vertices
+    free, used, undone, touched = (1 << two_q) - 1, 0, (1 << q) - 1, 0
+    # the explicit stack: each lower level's D, edge, untried mask and entry bitsets
+    stack: list[tuple[int, int, int, int, int, int, int]] = []
+    # this level: difference D placed on edge e, trying the placements in mask;
+    # on a pair edge bit x puts x on the first end, bit 2q + x puts x on the second
+    d_top, e, mask = two_q - 1, -1, 0
     nodes = tried = 0
     status = SearchStatus.EXHAUSTED_NONE
-    limit = budget.time_limit_ms
+    max_nodes, limit = budget.max_nodes, budget.time_limit_ms
     try:
         deadline = None if limit is None else time.perf_counter() + limit / 1000.0
     except OverflowError:  # a limit beyond any float is never reached
         deadline = None
 
-    depth = start = 0
-    while depth < size:
-        mask = candidates[depth]
-        if not start:
-            # entering this depth: keep the free labels whose new edges are all odd,
-            # unused and distinct; two are alike only at two neighbours' midpoint
-            mask = free & span[depth]
-            for other in earlier[depth]:
-                c = chosen[other]
-                mask &= opposite[c & 1] & ~((used << c) | (mirror >> (two_q - c)))
-            for a, b in pairs[depth]:  # mixed parities have already emptied the mask
-                mask &= ~(1 << ((chosen[a] + chosen[b]) >> 1))
+    while True:
         if not mask:
-            # no label left at this depth: resume the one below past its label
-            tried += span[depth].bit_length() - start
-            if depth == 0:
-                break
-            depth -= 1
-            free, used, mirror = saved[depth]
-            start = chosen[depth] + 1
+            # this edge is spent: move to the next undone edge at this level
+            rest = undone >> e + 1
+            if not rest:
+                # no edge left for D: resume the level below past its placement
+                if not stack:
+                    break
+                d_top, e, mask, free, used, undone, touched = stack.pop()
+                for v in edges[e]:
+                    if free >> label[v] & 1:  # labelled at that level
+                        label[v] = -1
+                continue
+            e += (rest & -rest).bit_length()
+            a, b = edges[e]
+            c = label[a] if label[a] >= 0 else label[b]
+            if c >= 0:
+                mask = free & (1 << c + d_top | (1 << c - d_top if c >= d_top else 0))
+            else:
+                mask = free & (free >> d_top)
+                if stack or not complement_symmetry:
+                    mask |= mask << two_q
             continue
         bit = mask & -mask
-        candidates[depth] = mask ^ bit
-        label = bit.bit_length() - 1
-        tried += label - start + 1
-        nodes += 1
-        if nodes > budget.max_nodes or deadline is not None and time.perf_counter() > deadline:
-            status = SearchStatus.BUDGET_EXHAUSTED
+        mask ^= bit
+        x = bit.bit_length() - 1
+        tried += 1
+        a, b = edges[e]
+        if label[a] >= 0:
+            placing = ((b, x),)
+        elif label[b] >= 0:
+            placing = ((a, x),)
+        elif x < two_q:
+            placing = ((a, x), (b, x + d_top))
+        else:
+            x -= two_q
+            placing = ((a, x + d_top), (b, x))
+        # every edge this placement completes must be odd and new
+        new = used
+        for v, value in placing:
+            label[v] = value
+            for w in neighbors[v]:
+                c = label[w]
+                if c >= 0:
+                    d = value - c if value > c else c - value
+                    if not d & 1 or new >> d & 1:
+                        break
+                    new |= 1 << d
+            else:
+                continue
             break
-        saved[depth] = free, used, mirror
-        chosen[depth] = label
-        free ^= bit
-        for other in earlier[depth]:
-            diff = abs(label - chosen[other])
-            used |= 1 << diff
-            mirror |= 1 << (two_q - diff)
-        depth, start = depth + 1, 0
+        else:
+            nodes += 1
+            if nodes > max_nodes or deadline is not None and time.perf_counter() > deadline:
+                status = SearchStatus.BUDGET_EXHAUSTED
+                break
+            stack.append((d_top, e, mask, free, used, undone, touched))
+            for v, value in placing:
+                free ^= 1 << value
+                undone &= ~(incident[v] & touched)
+                touched |= incident[v]
+            used = new
+            if used == odd:
+                status = SearchStatus.FOUND
+                break
+            d_top, e, mask = (odd & ~used).bit_length() - 1, -1, 0
+            continue
+        for v, _ in placing:
+            label[v] = -1
 
     stats = SearchStats(nodes_expanded=nodes, assignments_tried=tried)
-    if depth < size:
+    if status is not SearchStatus.FOUND:
         return SearchOutcome(status, None, stats)
-    labeling = tuple(chosen[position[v]] for v in range(len(topology.names)))
+    for v, value in enumerate(label):
+        if value < 0:  # isolated: the lowest free label
+            bit = free & -free
+            free ^= bit
+            label[v] = bit.bit_length() - 1
+    labeling = tuple(label)
     report = verify_odd_graceful(topology, labeling)
     if not report.is_odd_graceful:
         details = "; ".join(v.describe() for v in report.violations)

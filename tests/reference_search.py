@@ -1,24 +1,50 @@
-"""Reference search oracle for differential tests: the label-by-label loop.
+"""Reference search oracle for differential tests: the vertex-order loop.
 
-This is the search loop as it stood before candidate bitsets replaced it,
-kept verbatim as test code only. Every label in assignment order is tried on
-its own against ``label_used`` and ``diff_used`` lists. The production
-oracle must return the same status, statistics and certificate.
+This is the search as it stood before the difference-first oracle replaced
+it, kept as test code only. Vertices are labelled one at a time in
+``assignment_order``, and every label is tried on its own against
+``label_used`` and ``diff_used`` lists. It explores the same space in
+another order, so the production oracle must reach the same verdicts, not
+the same statistics or certificates.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 
 from oddgraceful.graphs import GraphTopology
-from oddgraceful.search import (
-    SearchBudget,
-    SearchOutcome,
-    SearchStats,
-    SearchStatus,
-    assignment_order,
-)
+from oddgraceful.search import SearchBudget, SearchOutcome, SearchStats, SearchStatus
 from oddgraceful.verification import verify_odd_graceful
+
+
+def assignment_order(topology: GraphTopology) -> tuple[int, ...]:
+    """Fixed assignment order of vertex indices: grow a connected frontier,
+    isolated vertices last.
+
+    The next vertex is the smallest index adjacent to the placed set; a new
+    component starts from its smallest index. A heap holds the frontier, so
+    this takes O((V + E) log V).
+    """
+    neighbors: list[list[int]] = [[] for _ in topology.names]
+    for a, b in topology.edges:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    placed = [False] * len(neighbors)
+    order: list[int] = []
+    for start, adjacent in enumerate(neighbors):
+        frontier = [start] if adjacent and not placed[start] else []
+        while frontier:
+            vertex = heapq.heappop(frontier)
+            if placed[vertex]:
+                continue
+            placed[vertex] = True
+            order.append(vertex)
+            for other in neighbors[vertex]:
+                if not placed[other]:
+                    heapq.heappush(frontier, other)
+    order.extend(v for v, adjacent in enumerate(neighbors) if not adjacent)
+    return tuple(order)
 
 
 def reference_search(

@@ -9,7 +9,8 @@ from oddgraceful import (
     verify_odd_graceful,
 )
 from oddgraceful.graphs import build_free_graph
-from oddgraceful.search import assignment_order
+from oddgraceful.graphspec import parse_graph_spec, topology_from_spec
+from reference_search import assignment_order
 
 
 def cycle_edges(length):
@@ -111,7 +112,25 @@ class TestDeepSearch:
         outcome = exhaustive_search(star)
         assert outcome.status is SearchStatus.FOUND
         assert verify_odd_graceful(star, outcome.labeling).is_odd_graceful
-        assert outcome.stats.nodes_expanded == 1501
+        assert outcome.stats.nodes_expanded == 1500  # one level per edge
+
+
+# odd graceful C_m + P_n cells below the construction's bound; the last
+# three number the path's vertices before the cycle's
+KNOWN_YES = (
+    [f"C12+P{n}" for n in range(5, 11)]
+    + [f"C14+P{n}" for n in range(4, 11)]
+    + ["P5+C12", "P6+C12", "P4+C14"]
+)
+
+
+class TestKnownYesCells:
+    @pytest.mark.parametrize("spec", KNOWN_YES)
+    def test_found_within_the_default_budget(self, spec):
+        topology = topology_from_spec(parse_graph_spec(spec))
+        outcome = exhaustive_search(topology)
+        assert outcome.status is SearchStatus.FOUND
+        assert verify_odd_graceful(topology, outcome.labeling).is_odd_graceful
 
 
 class TestDeterminism:

@@ -1,24 +1,36 @@
-"""Differential test: the search oracle against the label-by-label reference.
+"""Differential tests: the search oracle's verdicts against two references.
 
-Both searches run on the same seeded random graphs of at most 8 vertices,
-with complement symmetry on and off and under several node caps, and must
-agree on status, nodes expanded, assignments tried and certificate. Half of
-the graphs are dense bipartite graphs, which survive the parity pruning and
-reach deep levels; the other half are dense graphs of any kind. Some
-vertices are left isolated, so they are placed last.
+The vertex-order reference (``tests/reference_search.py``) runs on the same
+seeded random graphs of at most 8 vertices, with complement symmetry on and
+off. Uncapped, both must reach the same verdict on every graph; under a node
+cap, their verdicts must agree whenever both reach one. The two searches
+explore the same space in different orders, so their node and attempt
+counts and their certificates differ, and only verdicts are compared. Half
+of the graphs are dense bipartite graphs, which survive the parity pruning
+and reach deep levels; the other half are dense graphs of any kind. Some
+vertices are left isolated.
+
+Plain enumeration (``tests/bruteforce.py``) is the second reference, on
+seeded graphs of at most 6 vertices, some with more vertices than labels.
+Every certificate must pass the verifier.
 """
 
 import random
 
 import pytest
 
+from bruteforce import brute_force_has_labeling
 from oddgraceful.graphs import GraphTopology
-from oddgraceful.search import SearchBudget, assignment_order, exhaustive_search
-from reference_search import reference_search
-from test_search_golden import record
+from oddgraceful.search import SearchBudget, SearchStatus, exhaustive_search
+from oddgraceful.verification import verify_odd_graceful
+from reference_search import assignment_order, reference_search
 
 SEEDS = range(200)
 CAPS = (1, 10, 100, 5_000)
+# edges per graph in the plain-enumeration test, by vertex count: plain
+# enumeration of a graph with no labeling tries all (2q)!/(2q - V)! labelings
+MAX_EDGES = {2: 1, 3: 3, 4: 6, 5: 5, 6: 4}
+SMALL_SEEDS = range(300)
 
 
 def random_graph(seed):
@@ -42,6 +54,15 @@ def random_graph(seed):
     return GraphTopology(tuple(f"w{v + 1}" for v in range(size)), tuple(edges), 0, 0)
 
 
+def small_graph(seed):
+    rng = random.Random(seed)
+    size = rng.randint(2, 6)
+    pairs = [(a, b) for a in range(size) for b in range(a + 1, size)]
+    rng.shuffle(pairs)
+    edges = sorted(pairs[: rng.randint(1, MAX_EDGES[size])])
+    return GraphTopology(tuple(f"w{v + 1}" for v in range(size)), tuple(edges), 0, 0)
+
+
 def most_labelled_neighbours(topology):
     # the most neighbours any vertex has already labelled when its turn comes
     position = {v: depth for depth, v in enumerate(assignment_order(topology))}
@@ -51,14 +72,38 @@ def most_labelled_neighbours(topology):
     return max(earlier)
 
 
+def has_isolated_vertex(topology):
+    return len(topology.names) > len({v for edge in topology.edges for v in edge})
+
+
+def certified(topology, outcome):
+    """The outcome's status; a certificate, if any, must pass the verifier."""
+    assert (outcome.labeling is not None) == (outcome.status is SearchStatus.FOUND)
+    if outcome.labeling is not None:
+        assert verify_odd_graceful(topology, outcome.labeling).is_odd_graceful
+    return outcome.status.value
+
+
 GRAPHS = [random_graph(seed) for seed in SEEDS]
+SMALL_GRAPHS = [small_graph(seed) for seed in SMALL_SEEDS]
 
 
 def test_draws_cover_the_pruning_cases():
     # three labelled neighbours give three pairs that may share a midpoint
     assert max(most_labelled_neighbours(t) for t in GRAPHS) >= 3
-    assert any(len(t.names) > len({v for e in t.edges for v in e}) for t in GRAPHS)
+    assert any(has_isolated_vertex(t) for t in GRAPHS)
     assert max(len(t.names) for t in GRAPHS) == 8
+
+
+@pytest.mark.parametrize("symmetry", [True, False])
+def test_same_verdicts_uncapped(symmetry):
+    statuses = set()
+    for seed, topology in zip(SEEDS, GRAPHS):
+        expected = certified(topology, reference_search(topology, complement_symmetry=symmetry))
+        actual = certified(topology, exhaustive_search(topology, complement_symmetry=symmetry))
+        assert actual == expected, seed
+        statuses.add(expected)
+    assert statuses == {"found", "exhausted-none"}
 
 
 @pytest.mark.parametrize("symmetry", [True, False])
@@ -67,10 +112,24 @@ def test_matches_reference(cap, symmetry):
     budget = SearchBudget(max_nodes=cap)
     statuses = set()
     for seed, topology in zip(SEEDS, GRAPHS):
-        expected = record(reference_search(topology, budget, complement_symmetry=symmetry))
-        actual = record(exhaustive_search(topology, budget, complement_symmetry=symmetry))
-        assert actual == expected, seed
-        statuses.add(expected[0])
+        reference = reference_search(topology, budget, complement_symmetry=symmetry)
+        outcome = exhaustive_search(topology, budget, complement_symmetry=symmetry)
+        expected, actual = certified(topology, reference), certified(topology, outcome)
+        if "budget-exhausted" not in (expected, actual):
+            assert actual == expected, seed
+        statuses.update((expected, actual))
     assert "budget-exhausted" in statuses
     if cap >= 100:
         assert statuses == {"found", "exhausted-none", "budget-exhausted"}
+
+
+def test_matches_plain_enumeration():
+    assert any(has_isolated_vertex(t) for t in SMALL_GRAPHS)
+    assert any(len(t.names) > 2 * t.q for t in SMALL_GRAPHS)
+    for seed, topology in zip(SMALL_SEEDS, SMALL_GRAPHS):
+        expected = "found" if brute_force_has_labeling(topology) else "exhausted-none"
+        for symmetry in (True, False):
+            outcome = exhaustive_search(topology, complement_symmetry=symmetry)
+            assert certified(topology, outcome) == expected, (seed, symmetry)
+            if len(topology.names) > 2 * topology.q:  # more vertices than labels
+                assert outcome.stats.nodes_expanded == 0, seed

@@ -1,9 +1,10 @@
 """Golden search outcomes: the exact status, statistics and certificate of
-the search oracle, and the exact vertex order it assigns in.
+the search oracle, and the exact vertex order of the reference search.
 
 The expected values are fixed records. Any change to the order in which
-vertices are placed or labels are tried, to the node and attempt counts, or
-to budget handling shows up here as a failure.
+differences, edges or labels are tried, to the node and attempt counts, or
+to budget handling shows up here as a failure. Every pinned certificate
+must also pass the verifier.
 """
 
 import hashlib
@@ -13,7 +14,9 @@ import pytest
 
 from oddgraceful.graphs import build_free_graph, build_union_graph
 from oddgraceful.graphspec import parse_graph_spec, topology_from_spec
-from oddgraceful.search import SearchBudget, assignment_order, exhaustive_search
+from oddgraceful.search import SearchBudget, exhaustive_search
+from oddgraceful.verification import verify_odd_graceful
+from reference_search import assignment_order
 from test_search import SMALL_GRAPHS
 
 
@@ -24,71 +27,67 @@ def record(outcome):
 
 # (graph, complement_symmetry) -> (status, nodes expanded, assignments tried, labeling)
 SMALL = {
-    ("C3", True): ("exhausted-none", 12, 75, None),
-    ("C3", False): ("exhausted-none", 24, 150, None),
-    ("C4", True): ("found", 7, 40, (0, 3, 2, 7)),
-    ("C4", False): ("found", 7, 40, (0, 3, 2, 7)),
-    ("C5", True): ("exhausted-none", 322, 3225, None),
-    ("C5", False): ("exhausted-none", 644, 6450, None),
-    ("P4", True): ("found", 9, 42, (0, 5, 2, 1)),
-    ("P4", False): ("found", 9, 42, (0, 5, 2, 1)),
-    ("P6", True): ("found", 80, 767, (0, 9, 2, 1, 6, 3)),
-    ("P6", False): ("found", 80, 767, (0, 9, 2, 1, 6, 3)),
-    ("star4", True): ("found", 5, 21, (0, 1, 3, 5, 7)),
-    ("star4", False): ("found", 5, 21, (0, 1, 3, 5, 7)),
-    ("triangle+pendant", True): ("exhausted-none", 20, 164, None),
-    ("triangle+pendant", False): ("exhausted-none", 40, 328, None),
+    ("C3", True): ("exhausted-none", 3, 9, None),
+    ("C3", False): ("exhausted-none", 6, 18, None),
+    ("C4", True): ("found", 3, 4, (0, 7, 2, 3)),
+    ("C4", False): ("found", 3, 4, (0, 7, 2, 3)),
+    ("C5", True): ("exhausted-none", 45, 145, None),
+    ("C5", False): ("exhausted-none", 90, 290, None),
+    ("P4", True): ("found", 3, 3, (0, 5, 2, 1)),
+    ("P4", False): ("found", 3, 3, (0, 5, 2, 1)),
+    ("P6", True): ("found", 5, 5, (0, 9, 2, 7, 4, 3)),
+    ("P6", False): ("found", 5, 5, (0, 9, 2, 7, 4, 3)),
+    ("star4", True): ("found", 4, 4, (0, 7, 5, 3, 1)),
+    ("star4", False): ("found", 4, 4, (0, 7, 5, 3, 1)),
+    ("triangle+pendant", True): ("exhausted-none", 8, 26, None),
+    ("triangle+pendant", False): ("exhausted-none", 16, 52, None),
 }
 
 # the benchmark's search suite, each spec with complement_symmetry on and off
 SUITE = {
-    ("C7", True): ("exhausted-none", 9136, 127911, None),
-    ("C7", False): ("exhausted-none", 18272, 255822, None),
-    ("C9", True): ("exhausted-none", 361108, 6499953, None),
-    ("C9", False): ("exhausted-none", 722216, 12999906, None),
-    ("P10", True): ("found", 37350, 672201, (0, 17, 2, 1, 4, 9, 16, 3, 14, 5)),
-    ("P10", False): ("found", 37350, 672201, (0, 17, 2, 1, 4, 9, 16, 3, 14, 5)),
-    ("C4+P3", True): ("found", 151, 1766, (0, 3, 2, 11, 6, 1, 8)),
-    ("C4+P3", False): ("found", 151, 1766, (0, 3, 2, 11, 6, 1, 8)),
-    ("C6+P3", True): ("found", 38, 526, (0, 1, 4, 9, 2, 15, 3, 14, 5)),
-    ("C6+P3", False): ("found", 38, 526, (0, 1, 4, 9, 2, 15, 3, 14, 5)),
-    ("C8+P7", True): (
-        "found", 38541, 1078923, (0, 1, 4, 9, 16, 25, 2, 27, 3, 18, 5, 26, 7, 24, 13),
-    ),
-    ("C8+P7", False): (
-        "found", 38541, 1078923, (0, 1, 4, 9, 16, 25, 2, 27, 3, 18, 5, 26, 7, 24, 13),
-    ),
-    ("C4+P2", True): ("found", 45, 417, (0, 3, 2, 9, 1, 6)),
-    ("C4+P2", False): ("found", 45, 417, (0, 3, 2, 9, 1, 6)),
-    ("C6+P2", True): ("found", 17, 178, (0, 1, 4, 9, 2, 13, 3, 12)),
-    ("C6+P2", False): ("found", 17, 178, (0, 1, 4, 9, 2, 13, 3, 12)),
-    ("C8+P3", True): ("found", 194, 3757, (0, 1, 4, 11, 6, 15, 2, 19, 3, 18, 7)),
-    ("C8+P3", False): ("found", 194, 3757, (0, 1, 4, 11, 6, 15, 2, 19, 3, 18, 7)),
-    ("C8+P4", True): ("found", 1051, 22974, (0, 1, 4, 11, 6, 15, 2, 21, 3, 20, 5, 16)),
-    ("C8+P4", False): ("found", 1051, 22974, (0, 1, 4, 11, 6, 15, 2, 21, 3, 20, 5, 16)),
-    ("C8+P5", True): ("found", 6124, 146798, (0, 1, 4, 11, 6, 15, 2, 23, 3, 22, 5, 20, 9)),
-    ("C8+P5", False): ("found", 6124, 146798, (0, 1, 4, 11, 6, 15, 2, 23, 3, 22, 5, 20, 9)),
+    ("C7", True): ("exhausted-none", 1029, 3493, None),
+    ("C7", False): ("exhausted-none", 2058, 6986, None),
+    ("C9", True): ("exhausted-none", 29097, 127161, None),
+    ("C9", False): ("exhausted-none", 58194, 254322, None),
+    ("P10", True): ("found", 10, 20, (0, 17, 2, 15, 4, 13, 6, 11, 8, 7)),
+    ("P10", False): ("found", 10, 20, (0, 17, 2, 15, 4, 13, 6, 11, 8, 7)),
+    ("C4+P3", True): ("found", 5, 6, (0, 11, 2, 7, 1, 4, 3)),
+    ("C4+P3", False): ("found", 5, 6, (0, 11, 2, 7, 1, 4, 3)),
+    ("C6+P3", True): ("found", 7, 8, (0, 15, 2, 13, 4, 7, 1, 6, 5)),
+    ("C6+P3", False): ("found", 7, 8, (0, 15, 2, 13, 4, 7, 1, 6, 5)),
+    ("C8+P7", True): ("found", 13, 14, (0, 27, 2, 25, 4, 23, 6, 15, 1, 14, 3, 10, 5, 8, 7)),
+    ("C8+P7", False): ("found", 13, 14, (0, 27, 2, 25, 4, 23, 6, 15, 1, 14, 3, 10, 5, 8, 7)),
+    ("C4+P2", True): ("found", 4, 5, (0, 9, 2, 5, 3, 4)),
+    ("C4+P2", False): ("found", 4, 5, (0, 9, 2, 5, 3, 4)),
+    ("C6+P2", True): ("found", 6, 7, (0, 13, 2, 11, 4, 5, 3, 6)),
+    ("C6+P2", False): ("found", 6, 7, (0, 13, 2, 11, 4, 5, 3, 6)),
+    ("C8+P3", True): ("found", 9, 10, (0, 19, 2, 17, 4, 15, 6, 7, 3, 8, 5)),
+    ("C8+P3", False): ("found", 9, 10, (0, 19, 2, 17, 4, 15, 6, 7, 3, 8, 5)),
+    ("C8+P4", True): ("found", 11, 12, (0, 21, 2, 19, 4, 17, 6, 9, 1, 8, 13, 12)),
+    ("C8+P4", False): ("found", 11, 12, (0, 21, 2, 19, 4, 17, 6, 9, 1, 8, 13, 12)),
+    ("C8+P5", True): ("found", 12, 27, (0, 23, 2, 21, 4, 19, 6, 11, 1, 10, 17, 14, 13)),
+    ("C8+P5", False): ("found", 12, 27, (0, 23, 2, 21, 4, 19, 6, 11, 1, 10, 17, 14, 13)),
     ("C10+P5", True): (
-        "found", 27277, 763519, (0, 1, 4, 9, 16, 25, 6, 17, 2, 27, 5, 26, 3, 20, 7),
+        "found", 14, 31, (0, 27, 2, 25, 4, 23, 6, 21, 8, 11, 1, 10, 17, 12, 13),
     ),
     ("C10+P5", False): (
-        "found", 27277, 763519, (0, 1, 4, 9, 16, 25, 6, 17, 2, 27, 5, 26, 3, 20, 7),
+        "found", 14, 31, (0, 27, 2, 25, 4, 23, 6, 21, 8, 11, 1, 10, 17, 12, 13),
     ),
     ("C12+P4", True): (
-        "found", 45067, 1351748, (0, 1, 4, 9, 16, 3, 12, 23, 6, 27, 2, 29, 13, 28, 5, 24),
+        "found", 15, 15, (0, 29, 2, 27, 4, 25, 6, 23, 8, 21, 10, 1, 5, 12, 17, 14),
     ),
     ("C12+P4", False): (
-        "found", 45067, 1351748, (0, 1, 4, 9, 16, 3, 12, 23, 6, 27, 2, 29, 13, 28, 5, 24),
+        "found", 15, 15, (0, 29, 2, 27, 4, 25, 6, 23, 8, 21, 10, 1, 5, 12, 17, 14),
     ),
-    ("C4+C4", True): ("found", 1809, 28872, (0, 3, 2, 15, 1, 10, 5, 12)),
-    ("C4+C4", False): ("found", 1809, 28872, (0, 3, 2, 15, 1, 10, 5, 12)),
+    ("C4+C4", True): ("found", 6, 8, (0, 15, 2, 11, 1, 8, 3, 4)),
+    ("C4+C4", False): ("found", 6, 8, (0, 15, 2, 11, 1, 8, 3, 4)),
 }
 
 # C9 under a node cap: the count stops one past the cap
 C9_CAPPED = {
-    10: ("budget-exhausted", 11, 129, None),
-    1000: ("budget-exhausted", 1001, 17955, None),
-    12345: ("budget-exhausted", 12346, 222166, None),
+    10: ("budget-exhausted", 11, 34, None),
+    1000: ("budget-exhausted", 1001, 4355, None),
+    12345: ("budget-exhausted", 12346, 53972, None),
 }
 
 # sha256 over repr(assignment_order(t)) + "\n" for ORDER_TOPOLOGIES, in order
@@ -103,10 +102,19 @@ def random_free_graph(seed):
     return build_free_graph(pairs)
 
 
+def assert_certified(topology, expected):
+    certificate = expected[3]
+    assert (certificate is not None) == (expected[0] == "found")
+    if certificate is not None:
+        assert verify_odd_graceful(topology, certificate).is_odd_graceful
+
+
 @pytest.mark.parametrize("name, symmetry", sorted(SMALL))
 def test_small_graphs(name, symmetry):
-    outcome = exhaustive_search(SMALL_GRAPHS[name], complement_symmetry=symmetry)
+    topology = SMALL_GRAPHS[name]
+    outcome = exhaustive_search(topology, complement_symmetry=symmetry)
     assert record(outcome) == SMALL[name, symmetry]
+    assert_certified(topology, SMALL[name, symmetry])
 
 
 @pytest.mark.parametrize("spec, symmetry", sorted(SUITE))
@@ -114,6 +122,7 @@ def test_search_suite(spec, symmetry):
     topology = topology_from_spec(parse_graph_spec(spec))
     outcome = exhaustive_search(topology, complement_symmetry=symmetry)
     assert record(outcome) == SUITE[spec, symmetry]
+    assert_certified(topology, SUITE[spec, symmetry])
 
 
 @pytest.mark.parametrize("cap", sorted(C9_CAPPED))
