@@ -15,15 +15,25 @@ labels) and ``used`` (induced differences) bitsets. The first level places
 Each level of the explicit stack holds a few ints: D, the edge, the mask of
 untried placements and the entry bitsets. Its depth is at most q, whatever
 the recursion limit. Once every difference is induced, every edge is done,
-and isolated vertices take the lowest free labels. Solutions come in
-complement pairs (f and 2q-1-f), which swap the orientation of the edge
-carrying 2q-1, so only one orientation of that edge is tried; that
-restriction can be disabled and must not change any verdict. A graph with
-more vertices than 2q labels has no labeling and ends at once.
+and isolated vertices take the lowest free labels. A graph with more
+vertices than 2q labels has no labeling and ends at once.
 
-Exhaustion cost still grows exponentially with q (C9 takes 29,097 nodes,
-C11 about 1.2M); a larger graph runs until a labeling is found or the
-budget runs out.
+Two symmetries cut the first level, both behind the one ``symmetry``
+switch; with it off the search is unpruned, and no verdict may change.
+Solutions come in complement pairs (f and 2q-1-f), which swap the
+orientation of the edge carrying 2q-1, so only one orientation of that
+edge is tried. And 2q-1 goes only on ``root_edges``: the lowest-numbered
+edge of each orbit under the automorphisms known from the topology alone,
+the rotations and reflections of a cycle component, the reversal of a path
+component and the swaps of equal cycle or path components. If an
+automorphism s maps edge e to r and f is odd graceful with 2q-1 on e, then
+f composed with s^-1 is odd graceful with 2q-1 on r, so no verdict is lost;
+its complement keeps 2q-1 on r, so the two cuts hold together. A cycle's
+edges are one orbit, so C_m searches one edge in m.
+
+Exhaustion cost still grows exponentially with q: C9 takes 3,233 nodes,
+C11 109,447 (about 1 s) and C13 5,346,249 (about 40 s). A larger graph runs
+until a labeling is found or the budget runs out.
 """
 
 from __future__ import annotations
@@ -76,11 +86,56 @@ class SearchOutcome:
     stats: SearchStats
 
 
+def root_edges(topology: GraphTopology) -> int:
+    """Bit i for each edge on which the first level may place 2q-1: the
+    lowest-numbered edge of each orbit under the rotations and reflections
+    of every cycle component, the reversal of every path component and the
+    swaps of equal cycle or path components. Every edge of any other
+    component is its own orbit. Found in O(V + E) from the topology alone.
+    """
+    edges = topology.edges
+    incident: list[list[int]] = [[] for _ in topology.names]
+    for i, (a, b) in enumerate(edges):
+        incident[a].append(i)
+        incident[b].append(i)
+    orbit: list[tuple[int, ...]] = [(2, i) for i in range(len(edges))]
+    seen = [False] * len(incident)
+    # path ends first, so that each path is walked from one of its ends
+    ends = [v for v, at in enumerate(incident) if len(at) == 1]
+    for start in ends + [v for v, at in enumerate(incident) if len(at) > 1]:
+        if seen[start]:
+            continue
+        seen[start] = True
+        # walk: the edges to new vertices, in order along a path
+        stack, walk, found, simple = [start], [], set(), True
+        while stack:
+            v = stack.pop()
+            simple = simple and len(incident[v]) <= 2
+            found.update(incident[v])
+            for i in incident[v]:
+                w = edges[i][0] + edges[i][1] - v
+                if not seen[w]:
+                    seen[w] = True
+                    walk.append(i)
+                    stack.append(w)
+        k = len(found)
+        if simple and k > len(walk):  # a cycle: one orbit per length
+            for i in found:
+                orbit[i] = (0, k)
+        elif simple:  # a path: one orbit per length and distance from an end
+            for j, i in enumerate(walk):
+                orbit[i] = (1, k, min(j, k - 1 - j))
+    first: dict[tuple[int, ...], int] = {}
+    for i, key in enumerate(orbit):
+        first.setdefault(key, i)
+    return sum(1 << i for i in first.values())
+
+
 def exhaustive_search(
     topology: GraphTopology,
     budget: SearchBudget | None = None,
     *,
-    complement_symmetry: bool = True,
+    symmetry: bool = True,
 ) -> SearchOutcome:
     """Find an odd graceful labeling or prove none exists, within budget.
 
@@ -109,6 +164,7 @@ def exhaustive_search(
     # free: unused labels; used: bit d per induced difference d; undone: bit i
     # per edge with an unlabelled end; touched: the edges at labelled vertices
     free, used, undone, touched = (1 << two_q) - 1, 0, (1 << q) - 1, 0
+    roots = root_edges(topology) if symmetry else undone  # the edges 2q-1 may take
     # the explicit stack: each lower level's D, edge, untried mask and entry bitsets
     stack: list[tuple[int, int, int, int, int, int, int]] = []
     # this level: difference D placed on edge e, trying the placements in mask;
@@ -125,7 +181,7 @@ def exhaustive_search(
     while True:
         if not mask:
             # this edge is spent: move to the next undone edge at this level
-            rest = undone >> e + 1
+            rest = (undone if stack else roots) >> e + 1
             if not rest:
                 # no edge left for D: resume the level below past its placement
                 if not stack:
@@ -142,7 +198,7 @@ def exhaustive_search(
                 mask = free & (1 << c + d_top | (1 << c - d_top if c >= d_top else 0))
             else:
                 mask = free & (free >> d_top)
-                if stack or not complement_symmetry:
+                if stack or not symmetry:
                     mask |= mask << two_q
             continue
         bit = mask & -mask

@@ -87,8 +87,8 @@ certificate (verifier-checked):
 """),
     "C7": (2, """\
 status: exhausted-none
-nodes expanded: 1029
-assignments tried: 3493
+nodes expanded: 147
+assignments tried: 499
 """),
     "C4+C4": (0, """\
 status: found

@@ -10,7 +10,9 @@ from oddgraceful import (
 )
 from oddgraceful.graphs import build_free_graph
 from oddgraceful.graphspec import parse_graph_spec, topology_from_spec
+from oddgraceful.search import root_edges
 from reference_search import assignment_order
+from test_search_differential import UNIONS
 
 
 def cycle_edges(length):
@@ -74,14 +76,106 @@ class TestSymmetryBreaking:
     @pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
     def test_same_status_with_and_without(self, name):
         topology = SMALL_GRAPHS[name]
-        reduced = exhaustive_search(topology, complement_symmetry=True)
-        full = exhaustive_search(topology, complement_symmetry=False)
+        reduced = exhaustive_search(topology, symmetry=True)
+        full = exhaustive_search(topology, symmetry=False)
         assert reduced.status is full.status
+
+
+def components(topology):
+    """Each component's kind, C (cycle), P (path) or G (any other), and its
+    vertices: in walk order for a cycle or a path, from one end of a path."""
+    adjacent = [set() for _ in topology.names]
+    for a, b in topology.edges:
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    seen, found = set(), []
+    for start in sorted(range(len(adjacent)), key=lambda v: len(adjacent[v]) != 1):
+        if start in seen or not adjacent[start]:
+            continue
+        members, frontier = {start}, [start]
+        while frontier:
+            for w in adjacent[frontier.pop()] - members:
+                members.add(w)
+                frontier.append(w)
+        seen |= members
+        if any(len(adjacent[v]) > 2 for v in members):
+            found.append(("G", sorted(members)))
+            continue
+        walk = [start]
+        while len(walk) < len(members):
+            walk.append(min(adjacent[walk[-1]] - set(walk[-2:])))
+        found.append(("C" if len(adjacent[start]) == 2 else "P", walk))
+    return found
+
+
+def explicit_automorphisms(topology):
+    """Every vertex permutation that maps one cycle (path) component onto an
+    equal one by a rotation or reflection (identity or reversal), swaps the
+    two, and fixes every other vertex."""
+    parts = [part for part in components(topology) if part[0] != "G"]
+    for kind, source in parts:
+        k = len(source)
+        if kind == "C":
+            images = [[(s + r * t) % k for t in range(k)] for s in range(k) for r in (1, -1)]
+        else:
+            images = [list(range(k)), list(range(k - 1, -1, -1))]
+        for other, target in parts:
+            if other != kind or len(target) != k:
+                continue
+            for image in images:
+                perm = list(range(len(topology.names)))
+                for t, u in enumerate(image):
+                    perm[source[t]] = target[u]
+                    if target is not source:
+                        perm[target[u]] = source[t]
+                yield perm
+
+
+class TestRootOrbits:
+    SPECS = ["C3", "C9", "P2", "P10", "C4+P3", "C4+C4", "P3+P3+P3", "C5+P4+C5+P4", "P5+C12"]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_specs(self, spec):
+        self.assert_sound(topology_from_spec(parse_graph_spec(spec)))
+
+    def test_unions(self):
+        kinds = set()
+        for topology in UNIONS:
+            self.assert_sound(topology)
+            kinds.update(kind for kind, _ in components(topology))
+        assert kinds == {"C", "P", "G"}
+
+    def test_counts(self):
+        c9 = topology_from_spec(parse_graph_spec("C9"))
+        assert root_edges(c9) == 1  # one rotation class, edge 0
+        p10 = topology_from_spec(parse_graph_spec("P10"))
+        assert root_edges(p10) == 0b11111  # edges j and 8 - j are one class
+        star = build_free_graph([(1, 2), (1, 3), (1, 4), (1, 5)])
+        assert root_edges(star) == 0b1111  # not a cycle or path: every edge kept
+
+    @staticmethod
+    def assert_sound(topology):
+        # every skipped edge is mapped onto a kept edge by an automorphism,
+        # written out as a permutation that maps the edge set onto itself
+        roots = root_edges(topology)
+        edge_set = {frozenset(edge) for edge in topology.edges}
+        index = {frozenset(edge): i for i, edge in enumerate(topology.edges)}
+        automorphisms = list(explicit_automorphisms(topology))
+        for perm in automorphisms:
+            assert sorted(perm) == list(range(len(perm)))
+            assert {frozenset((perm[a], perm[b])) for a, b in topology.edges} == edge_set
+        assert roots & 1  # edge 0 always stays
+        for i, (a, b) in enumerate(topology.edges):
+            if not roots >> i & 1:
+                assert any(
+                    roots >> index[frozenset((perm[a], perm[b]))] & 1 for perm in automorphisms
+                ), (topology.edges, i)
 
 
 class TestBudget:
     def test_node_cap_reports_budget_exhausted(self):
-        outcome = exhaustive_search(SMALL_GRAPHS["C5"], SearchBudget(max_nodes=10))
+        c7 = build_free_graph(cycle_edges(7))  # exhausts in 147 nodes
+        outcome = exhaustive_search(c7, SearchBudget(max_nodes=10))
         assert outcome.status is SearchStatus.BUDGET_EXHAUSTED
         assert outcome.labeling is None
         assert outcome.stats.nodes_expanded == 11  # the node that crossed the cap
@@ -91,7 +185,7 @@ class TestBudget:
         assert outcome.status is SearchStatus.EXHAUSTED_NONE
 
     def test_time_limit(self):
-        topology = build_free_graph(cycle_edges(7))
+        topology = build_free_graph(cycle_edges(11))  # exhausts in about 1 s
         outcome = exhaustive_search(topology, SearchBudget(time_limit_ms=1))
         assert outcome.status is SearchStatus.BUDGET_EXHAUSTED
 

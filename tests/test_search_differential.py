@@ -12,10 +12,15 @@ vertices are left isolated.
 
 Plain enumeration (``tests/bruteforce.py``) is the second reference, on
 seeded graphs of at most 6 vertices, some with more vertices than labels.
-Every certificate must pass the verifier.
+
+The root-orbit pruning, on with ``symmetry``, has its own draw: seeded
+disjoint unions of cycles and paths, the graphs it prunes most, with their
+vertices renumbered and their edges shuffled, some with a chord or a
+pendant. Every certificate must pass the verifier.
 """
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -31,6 +36,8 @@ CAPS = (1, 10, 100, 5_000)
 # enumeration of a graph with no labeling tries all (2q)!/(2q - V)! labelings
 MAX_EDGES = {2: 1, 3: 3, 4: 6, 5: 5, 6: 4}
 SMALL_SEEDS = range(300)
+UNION_SEEDS = range(200)
+UNION_VERTICES = 8  # at most, before a pendant
 
 
 def random_graph(seed):
@@ -63,6 +70,43 @@ def small_graph(seed):
     return GraphTopology(tuple(f"w{v + 1}" for v in range(size)), tuple(edges), 0, 0)
 
 
+def random_union(seed):
+    """1-4 cycle and path terms; a fifth of them get a pendant, a fifth a chord."""
+    rng = random.Random(seed)
+    pairs, size = [], 0
+    for _ in range(rng.randint(1, 4)):
+        cycle = rng.random() < 0.5
+        length = rng.randint(3, 6) if cycle else rng.randint(2, 5)
+        if size + length > UNION_VERTICES:
+            break
+        pairs += [(size + i, size + i + 1) for i in range(length - 1)]
+        if cycle:
+            pairs.append((size, size + length - 1))
+        size += length
+    extra = rng.random()
+    if extra < 0.2:
+        pairs.append((rng.randrange(size), size))
+        size += 1
+    elif extra < 0.4:
+        missing = [(a, b) for a in range(size) for b in range(a + 1, size) if (a, b) not in pairs]
+        if missing:
+            pairs.append(rng.choice(missing))
+    number = list(range(size))
+    rng.shuffle(number)
+    rng.shuffle(pairs)
+    edges = tuple(tuple(sorted((number[a], number[b]))) for a, b in pairs)
+    return GraphTopology(tuple(f"w{v + 1}" for v in range(size)), edges, 0, 0)
+
+
+def isomorphism_class(topology):
+    # the least sorted edge list over every renumbering of the vertices
+    size = len(topology.names)
+    return size, min(
+        tuple(sorted(tuple(sorted((order[a], order[b]))) for a, b in topology.edges))
+        for order in permutations(range(size))
+    )
+
+
 def most_labelled_neighbours(topology):
     # the most neighbours any vertex has already labelled when its turn comes
     position = {v: depth for depth, v in enumerate(assignment_order(topology))}
@@ -86,6 +130,7 @@ def certified(topology, outcome):
 
 GRAPHS = [random_graph(seed) for seed in SEEDS]
 SMALL_GRAPHS = [small_graph(seed) for seed in SMALL_SEEDS]
+UNIONS = [random_union(seed) for seed in UNION_SEEDS]
 
 
 def test_draws_cover_the_pruning_cases():
@@ -100,7 +145,7 @@ def test_same_verdicts_uncapped(symmetry):
     statuses = set()
     for seed, topology in zip(SEEDS, GRAPHS):
         expected = certified(topology, reference_search(topology, complement_symmetry=symmetry))
-        actual = certified(topology, exhaustive_search(topology, complement_symmetry=symmetry))
+        actual = certified(topology, exhaustive_search(topology, symmetry=symmetry))
         assert actual == expected, seed
         statuses.add(expected)
     assert statuses == {"found", "exhausted-none"}
@@ -113,7 +158,7 @@ def test_matches_reference(cap, symmetry):
     statuses = set()
     for seed, topology in zip(SEEDS, GRAPHS):
         reference = reference_search(topology, budget, complement_symmetry=symmetry)
-        outcome = exhaustive_search(topology, budget, complement_symmetry=symmetry)
+        outcome = exhaustive_search(topology, budget, symmetry=symmetry)
         expected, actual = certified(topology, reference), certified(topology, outcome)
         if "budget-exhausted" not in (expected, actual):
             assert actual == expected, seed
@@ -129,7 +174,24 @@ def test_matches_plain_enumeration():
     for seed, topology in zip(SMALL_SEEDS, SMALL_GRAPHS):
         expected = "found" if brute_force_has_labeling(topology) else "exhausted-none"
         for symmetry in (True, False):
-            outcome = exhaustive_search(topology, complement_symmetry=symmetry)
+            outcome = exhaustive_search(topology, symmetry=symmetry)
             assert certified(topology, outcome) == expected, (seed, symmetry)
             if len(topology.names) > 2 * topology.q:  # more vertices than labels
                 assert outcome.stats.nodes_expanded == 0, seed
+
+
+def test_unions_agree_with_and_without_root_orbits():
+    assert any(len(t.names) <= 6 for t in UNIONS)
+    statuses, plain = set(), {}  # plain: enumeration's verdict per isomorphism class
+    for seed, topology in zip(UNION_SEEDS, UNIONS):
+        expected = certified(topology, reference_search(topology))
+        for symmetry in (True, False):
+            outcome = exhaustive_search(topology, symmetry=symmetry)
+            assert certified(topology, outcome) == expected, (seed, symmetry)
+        if len(topology.names) <= 6:
+            key = isomorphism_class(topology)
+            if key not in plain:
+                plain[key] = "found" if brute_force_has_labeling(topology) else "exhausted-none"
+            assert plain[key] == expected, seed
+        statuses.add(expected)
+    assert statuses == {"found", "exhausted-none"}

@@ -25,13 +25,13 @@ def record(outcome):
     return (outcome.status.value, stats.nodes_expanded, stats.assignments_tried, outcome.labeling)
 
 
-# (graph, complement_symmetry) -> (status, nodes expanded, assignments tried, labeling)
+# (graph, symmetry) -> (status, nodes expanded, assignments tried, labeling)
 SMALL = {
-    ("C3", True): ("exhausted-none", 3, 9, None),
+    ("C3", True): ("exhausted-none", 1, 3, None),
     ("C3", False): ("exhausted-none", 6, 18, None),
     ("C4", True): ("found", 3, 4, (0, 7, 2, 3)),
     ("C4", False): ("found", 3, 4, (0, 7, 2, 3)),
-    ("C5", True): ("exhausted-none", 45, 145, None),
+    ("C5", True): ("exhausted-none", 9, 29, None),
     ("C5", False): ("exhausted-none", 90, 290, None),
     ("P4", True): ("found", 3, 3, (0, 5, 2, 1)),
     ("P4", False): ("found", 3, 3, (0, 5, 2, 1)),
@@ -43,11 +43,11 @@ SMALL = {
     ("triangle+pendant", False): ("exhausted-none", 16, 52, None),
 }
 
-# the benchmark's search suite, each spec with complement_symmetry on and off
+# the benchmark's search suite, each spec with symmetry on and off
 SUITE = {
-    ("C7", True): ("exhausted-none", 1029, 3493, None),
+    ("C7", True): ("exhausted-none", 147, 499, None),
     ("C7", False): ("exhausted-none", 2058, 6986, None),
-    ("C9", True): ("exhausted-none", 29097, 127161, None),
+    ("C9", True): ("exhausted-none", 3233, 14129, None),
     ("C9", False): ("exhausted-none", 58194, 254322, None),
     ("P10", True): ("found", 10, 20, (0, 17, 2, 15, 4, 13, 6, 11, 8, 7)),
     ("P10", False): ("found", 10, 20, (0, 17, 2, 15, 4, 13, 6, 11, 8, 7)),
@@ -83,11 +83,11 @@ SUITE = {
     ("C4+C4", False): ("found", 6, 8, (0, 15, 2, 11, 1, 8, 3, 4)),
 }
 
-# C9 under a node cap: the count stops one past the cap
+# C9 under a node cap below its 3,233 nodes: the count stops one past the cap
 C9_CAPPED = {
     10: ("budget-exhausted", 11, 34, None),
     1000: ("budget-exhausted", 1001, 4355, None),
-    12345: ("budget-exhausted", 12346, 53972, None),
+    3000: ("budget-exhausted", 3001, 13103, None),
 }
 
 # sha256 over repr(assignment_order(t)) + "\n" for ORDER_TOPOLOGIES, in order
@@ -112,7 +112,7 @@ def assert_certified(topology, expected):
 @pytest.mark.parametrize("name, symmetry", sorted(SMALL))
 def test_small_graphs(name, symmetry):
     topology = SMALL_GRAPHS[name]
-    outcome = exhaustive_search(topology, complement_symmetry=symmetry)
+    outcome = exhaustive_search(topology, symmetry=symmetry)
     assert record(outcome) == SMALL[name, symmetry]
     assert_certified(topology, SMALL[name, symmetry])
 
@@ -120,7 +120,7 @@ def test_small_graphs(name, symmetry):
 @pytest.mark.parametrize("spec, symmetry", sorted(SUITE))
 def test_search_suite(spec, symmetry):
     topology = topology_from_spec(parse_graph_spec(spec))
-    outcome = exhaustive_search(topology, complement_symmetry=symmetry)
+    outcome = exhaustive_search(topology, symmetry=symmetry)
     assert record(outcome) == SUITE[spec, symmetry]
     assert_certified(topology, SUITE[spec, symmetry])
 
