@@ -2,8 +2,8 @@
 
 Both construction routes do constant work per vertex, so construction time
 should scale linearly with the edge count q. The harness times bare
-construction calls (no topology building, no I/O), discards warm-up
-repetitions, and reports a least-squares fit of log(time) against log(q)
+construction calls (no topology building, no I/O), discards one warm-up
+repetition, and reports a least-squares fit of log(time) against log(q)
 over the per-q median times: a slope near 1 means linear scaling. Per-sample
 rows are still emitted so any other fit can be recomputed from the CSV.
 """
@@ -75,7 +75,6 @@ def run_bench(
     q_values: Sequence[int],
     repetitions: int,
     m: int = 8,
-    warmup: int = 1,
 ) -> tuple[list[BenchSample], list[BenchSummary]]:
     """Time both construction methods at each q; returns samples and fits."""
     if repetitions < 1:
@@ -88,13 +87,13 @@ def run_bench(
     for q in q_values:
         params = params_by_q[q]
         for method in Method:
-            for repetition in range(warmup + repetitions):
+            for repetition in range(1 + repetitions):  # the first is a warm-up
                 gc.collect()
                 start = time.perf_counter_ns()
                 labeling = method.construct(params)
                 elapsed = time.perf_counter_ns() - start
                 del labeling
-                if repetition >= warmup:
+                if repetition:
                     samples.append(
                         BenchSample(
                             q=q, method=method, construction_time_ns=max(elapsed, 1)

@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = sea.add_mutually_exclusive_group(required=True)
     source.add_argument("--spec", help='graph spec, e.g. "C4+P3" (terms join disjointly)')
     source.add_argument("--edges", help="edge-list file, one 'a b' pair per line")
-    sea.add_argument("--max-nodes", type=_positive_int, default=100_000_000)
+    sea.add_argument("--max-nodes", type=_positive_int, default=SearchBudget.max_nodes)
     sea.add_argument("--timeout-ms", type=_positive_int, default=None)
 
     ben = sub.add_parser("bench", help="time the construction and fit a log-log slope")

@@ -18,18 +18,17 @@ the recursion limit. Once every difference is induced, every edge is done,
 and isolated vertices take the lowest free labels. A graph with more
 vertices than 2q labels has no labeling and ends at once.
 
-Two symmetries cut the first level, both behind the one ``symmetry``
-switch; with it off the search is unpruned, and no verdict may change.
-Solutions come in complement pairs (f and 2q-1-f), which swap the
-orientation of the edge carrying 2q-1, so only one orientation of that
-edge is tried. And 2q-1 goes only on ``root_edges``: the lowest-numbered
-edge of each orbit under the automorphisms known from the topology alone,
-the rotations and reflections of a cycle component, the reversal of a path
-component and the swaps of equal cycle or path components. If an
-automorphism s maps edge e to r and f is odd graceful with 2q-1 on e, then
-f composed with s^-1 is odd graceful with 2q-1 on r, so no verdict is lost;
-its complement keeps 2q-1 on r, so the two cuts hold together. A cycle's
-edges are one orbit, so C_m searches one edge in m.
+Two symmetries cut the first level. Solutions come in complement pairs (f
+and 2q-1-f), which swap the orientation of the edge carrying 2q-1, so only
+one orientation of that edge is tried. And 2q-1 goes only on
+``root_edges``: the lowest-numbered edge of each orbit under the
+automorphisms known from the topology alone, the rotations and reflections
+of a cycle component, the reversal of a path component and the swaps of
+equal cycle or path components. If an automorphism s maps edge e to r and f
+is odd graceful with 2q-1 on e, then f composed with s^-1 is odd graceful
+with 2q-1 on r, so no verdict is lost; its complement keeps 2q-1 on r, so
+the two cuts hold together. A cycle's edges are one orbit, so C_m searches
+one edge in m.
 
 Exhaustion cost still grows exponentially with q: C9 takes 3,233 nodes,
 C11 109,447 (about 1 s) and C13 5,346,249 (about 40 s). A larger graph runs
@@ -68,11 +67,10 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class SearchStats:
-    """nodes_expanded counts placements that passed their check, each one
-    partial labeling reached;
+    """Work done by one search.
 
-    assignments_tried counts placements attempted, failed ones included:
-    one per free pair and orientation, or per free label c - D or c + D.
+    nodes_expanded: placements that passed their check, one per partial labeling reached.
+    assignments_tried: placements attempted, failed ones included.
     """
 
     nodes_expanded: int
@@ -134,8 +132,6 @@ def root_edges(topology: GraphTopology) -> int:
 def exhaustive_search(
     topology: GraphTopology,
     budget: SearchBudget | None = None,
-    *,
-    symmetry: bool = True,
 ) -> SearchOutcome:
     """Find an odd graceful labeling or prove none exists, within budget.
 
@@ -164,7 +160,7 @@ def exhaustive_search(
     # free: unused labels; used: bit d per induced difference d; undone: bit i
     # per edge with an unlabelled end; touched: the edges at labelled vertices
     free, used, undone, touched = (1 << two_q) - 1, 0, (1 << q) - 1, 0
-    roots = root_edges(topology) if symmetry else undone  # the edges 2q-1 may take
+    roots = root_edges(topology)  # the edges 2q-1 may take
     # the explicit stack: each lower level's D, edge, untried mask and entry bitsets
     stack: list[tuple[int, int, int, int, int, int, int]] = []
     # this level: difference D placed on edge e, trying the placements in mask;
@@ -198,7 +194,7 @@ def exhaustive_search(
                 mask = free & (1 << c + d_top | (1 << c - d_top if c >= d_top else 0))
             else:
                 mask = free & (free >> d_top)
-                if stack or not symmetry:
+                if stack:  # complement symmetry: one orientation at the root
                     mask |= mask << two_q
             continue
         bit = mask & -mask

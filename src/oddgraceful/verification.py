@@ -121,14 +121,16 @@ def verify_odd_graceful(topology: GraphTopology, labeling: Labeling) -> Verifica
         and set(induced) == set(range(1, upper + 1, 2))
     ):
         return VerificationReport(is_odd_graceful=True, violations=())
-    violations = _violations(topology, labeling)
+    violations = _violations(topology, labeling, induced)
     return VerificationReport(is_odd_graceful=not violations, violations=tuple(violations))
 
 
-def _violations(topology: GraphTopology, labeling: Labeling) -> list[Violation]:
-    """Every violation of ``labeling``, in the order ``verify_odd_graceful`` reports."""
+def _violations(
+    topology: GraphTopology, labeling: Labeling, induced: tuple[int, ...]
+) -> list[Violation]:
+    """Every violation of ``labeling``, whose edge labels are ``induced``, in
+    the order ``verify_odd_graceful`` reports."""
     names, edges = topology.names, topology.edges
-    induced = edge_labels(topology, labeling)
     upper = 2 * topology.q - 1
     violations: list[Violation] = [
         VertexLabelOutOfRange(vertex=names[i], label=value, upper=upper)

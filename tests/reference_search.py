@@ -3,9 +3,11 @@
 This is the search as it stood before the difference-first oracle replaced
 it, kept as test code only. Vertices are labelled one at a time in
 ``assignment_order``, and every label is tried on its own against
-``label_used`` and ``diff_used`` lists. It explores the same space in
-another order, so the production oracle must reach the same verdicts, not
-the same statistics or certificates.
+``label_used`` and ``diff_used`` lists. It has no symmetry cut: every
+label is tried at every depth, the first included. It shares no search code
+with the production oracle and explores the unpruned space in another order,
+so the oracle must reach the same verdicts, not the same statistics or
+certificates.
 """
 
 from __future__ import annotations
@@ -50,8 +52,6 @@ def assignment_order(topology: GraphTopology) -> tuple[int, ...]:
 def reference_search(
     topology: GraphTopology,
     budget: SearchBudget | None = None,
-    *,
-    complement_symmetry: bool = True,
 ) -> SearchOutcome:
     if budget is None:
         budget = SearchBudget()
@@ -67,10 +67,6 @@ def reference_search(
     for a, b in topology.edges:
         low, high = sorted((position[a], position[b]))
         earlier[high].append(low)
-    top = [2 * q - 1] * size
-    if complement_symmetry:
-        top[0] = q - 1
-
     label_used = [False] * (2 * q)
     diff_used = [False] * (2 * q)
     # the explicit stack: each depth's label and the differences it committed
@@ -84,7 +80,7 @@ def reference_search(
 
     depth = start = 0
     while depth < size:
-        for label in range(start, top[depth] + 1):
+        for label in range(start, 2 * q):
             tried += 1
             if label_used[label]:
                 continue

@@ -20,7 +20,7 @@ from oddgraceful.cli import main
 from oddgraceful.formats import labeling_document, parse_labeling_document
 from oddgraceful.graphs import build_free_graph
 from oddgraceful.graphspec import parse_edge_list, parse_graph_spec
-from oddgraceful.verification import _violations, verify_odd_graceful
+from oddgraceful.verification import _violations, edge_labels, verify_odd_graceful
 
 SCALARS = (
     st.none()
@@ -132,4 +132,5 @@ def labeled_graphs(draw):
 def test_pass_check_agrees_with_itemizing(case):
     topology, labeling = case
     report = verify_odd_graceful(topology, labeling)
-    assert report.is_odd_graceful == (not _violations(topology, labeling))
+    violations = _violations(topology, labeling, edge_labels(topology, labeling))
+    assert report.is_odd_graceful == (not violations)

@@ -1,22 +1,24 @@
 """Differential tests: the search oracle's verdicts against two references.
 
+The oracle always prunes its first level by complement symmetry and by root
+orbits. Neither reference shares code with it or prunes by symmetry.
+
 The vertex-order reference (``tests/reference_search.py``) runs on the same
-seeded random graphs of at most 8 vertices, with complement symmetry on and
-off. Uncapped, both must reach the same verdict on every graph; under a node
-cap, their verdicts must agree whenever both reach one. The two searches
-explore the same space in different orders, so their node and attempt
-counts and their certificates differ, and only verdicts are compared. Half
-of the graphs are dense bipartite graphs, which survive the parity pruning
-and reach deep levels; the other half are dense graphs of any kind. Some
-vertices are left isolated.
+seeded random graphs of at most 8 vertices. Uncapped, both must reach the
+same verdict on every graph; under a node cap, their verdicts must agree
+whenever both reach one. The two searches explore the space in different
+orders, so their node and attempt counts and their certificates differ, and
+only verdicts are compared. Half of the graphs are dense bipartite graphs,
+which survive the parity pruning and reach deep levels; the other half are
+dense graphs of any kind. Some vertices are left isolated.
 
 Plain enumeration (``tests/bruteforce.py``) is the second reference, on
 seeded graphs of at most 6 vertices, some with more vertices than labels.
 
-The root-orbit pruning, on with ``symmetry``, has its own draw: seeded
-disjoint unions of cycles and paths, the graphs it prunes most, with their
-vertices renumbered and their edges shuffled, some with a chord or a
-pendant. Every certificate must pass the verifier.
+The root-orbit pruning has its own draw: seeded disjoint unions of cycles
+and paths, the graphs it prunes most, with their vertices renumbered and
+their edges shuffled, some with a chord or a pendant. Their verdicts are
+checked against both references. Every certificate must pass the verifier.
 """
 
 import random
@@ -140,25 +142,23 @@ def test_draws_cover_the_pruning_cases():
     assert max(len(t.names) for t in GRAPHS) == 8
 
 
-@pytest.mark.parametrize("symmetry", [True, False])
-def test_same_verdicts_uncapped(symmetry):
+def test_same_verdicts_uncapped():
     statuses = set()
     for seed, topology in zip(SEEDS, GRAPHS):
-        expected = certified(topology, reference_search(topology, complement_symmetry=symmetry))
-        actual = certified(topology, exhaustive_search(topology, symmetry=symmetry))
+        expected = certified(topology, reference_search(topology))
+        actual = certified(topology, exhaustive_search(topology))
         assert actual == expected, seed
         statuses.add(expected)
     assert statuses == {"found", "exhausted-none"}
 
 
-@pytest.mark.parametrize("symmetry", [True, False])
 @pytest.mark.parametrize("cap", CAPS)
-def test_matches_reference(cap, symmetry):
+def test_matches_reference(cap):
     budget = SearchBudget(max_nodes=cap)
     statuses = set()
     for seed, topology in zip(SEEDS, GRAPHS):
-        reference = reference_search(topology, budget, complement_symmetry=symmetry)
-        outcome = exhaustive_search(topology, budget, symmetry=symmetry)
+        reference = reference_search(topology, budget)
+        outcome = exhaustive_search(topology, budget)
         expected, actual = certified(topology, reference), certified(topology, outcome)
         if "budget-exhausted" not in (expected, actual):
             assert actual == expected, seed
@@ -173,21 +173,18 @@ def test_matches_plain_enumeration():
     assert any(len(t.names) > 2 * t.q for t in SMALL_GRAPHS)
     for seed, topology in zip(SMALL_SEEDS, SMALL_GRAPHS):
         expected = "found" if brute_force_has_labeling(topology) else "exhausted-none"
-        for symmetry in (True, False):
-            outcome = exhaustive_search(topology, symmetry=symmetry)
-            assert certified(topology, outcome) == expected, (seed, symmetry)
-            if len(topology.names) > 2 * topology.q:  # more vertices than labels
-                assert outcome.stats.nodes_expanded == 0, seed
+        outcome = exhaustive_search(topology)
+        assert certified(topology, outcome) == expected, seed
+        if len(topology.names) > 2 * topology.q:  # more vertices than labels
+            assert outcome.stats.nodes_expanded == 0, seed
 
 
-def test_unions_agree_with_and_without_root_orbits():
+def test_unions_agree_with_unpruned_references():
     assert any(len(t.names) <= 6 for t in UNIONS)
     statuses, plain = set(), {}  # plain: enumeration's verdict per isomorphism class
     for seed, topology in zip(UNION_SEEDS, UNIONS):
         expected = certified(topology, reference_search(topology))
-        for symmetry in (True, False):
-            outcome = exhaustive_search(topology, symmetry=symmetry)
-            assert certified(topology, outcome) == expected, (seed, symmetry)
+        assert certified(topology, exhaustive_search(topology)) == expected, seed
         if len(topology.names) <= 6:
             key = isomorphism_class(topology)
             if key not in plain:
