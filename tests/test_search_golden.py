@@ -1,5 +1,6 @@
 """Golden search outcomes: the exact status, statistics and certificate of
 the search oracle, and the exact vertex order of the reference search.
+The unpruned reference search must reach each pinned status as well.
 
 The expected values are fixed records. Any change to the order in which
 differences, edges or labels are tried, to the node and attempt counts, or
@@ -16,7 +17,7 @@ from oddgraceful.graphs import build_free_graph, build_union_graph
 from oddgraceful.graphspec import parse_graph_spec, topology_from_spec
 from oddgraceful.search import SearchBudget, exhaustive_search
 from oddgraceful.verification import verify_odd_graceful
-from reference_search import assignment_order
+from reference_search import assignment_order, reference_search
 from test_search import SMALL_GRAPHS
 
 
@@ -84,20 +85,29 @@ def assert_certified(topology, expected):
         assert verify_odd_graceful(topology, certificate).is_odd_graceful
 
 
+def assert_pinned(topology, expected, pruned):
+    """pruned: the oracle gives the pinned record; otherwise the unpruned
+    reference search reaches the pinned status with a verified certificate."""
+    assert_certified(topology, expected)
+    if pruned:
+        assert record(exhaustive_search(topology)) == expected
+        return
+    outcome = reference_search(topology)
+    assert outcome.status.value == expected[0]
+    if outcome.labeling is not None:
+        assert verify_odd_graceful(topology, outcome.labeling).is_odd_graceful
+
+
+@pytest.mark.parametrize("pruned", (False, True))
 @pytest.mark.parametrize("name", sorted(SMALL))
-def test_small_graphs(name):
-    topology = SMALL_GRAPHS[name]
-    outcome = exhaustive_search(topology)
-    assert record(outcome) == SMALL[name]
-    assert_certified(topology, SMALL[name])
+def test_small_graphs(name, pruned):
+    assert_pinned(SMALL_GRAPHS[name], SMALL[name], pruned)
 
 
+@pytest.mark.parametrize("pruned", (False, True))
 @pytest.mark.parametrize("spec", sorted(SUITE))
-def test_search_suite(spec):
-    topology = topology_from_spec(parse_graph_spec(spec))
-    outcome = exhaustive_search(topology)
-    assert record(outcome) == SUITE[spec]
-    assert_certified(topology, SUITE[spec])
+def test_search_suite(spec, pruned):
+    assert_pinned(topology_from_spec(parse_graph_spec(spec)), SUITE[spec], pruned)
 
 
 @pytest.mark.parametrize("cap", sorted(C9_CAPPED))
