@@ -12,8 +12,9 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import bench_csv, run_bench
+from .bench import bench_csv, fit, run_bench
 from .construction import (
+    METHODS,
     algorithmic_labeling,
     closed_form_labeling,
     force_params,
@@ -34,7 +35,7 @@ from .formats import (
     to_dot,
 )
 from .graphs import build_free_graph, build_union_graph
-from .graphspec import parse_graph_spec, parse_edge_list, topology_from_spec
+from .graphspec import parse_edge_list, parse_graph_spec, topology_from_spec, union_form
 from .search import SearchBudget, SearchStatus, exhaustive_search
 from .verification import verify_odd_graceful
 
@@ -74,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="construct a labeling of C<m>+P<n>")
     gen.add_argument("--spec", required=True, help='graph spec, e.g. "C8+P12"')
     gen.add_argument(
-        "--method", choices=["closed", "algorithmic"], default="closed",
+        "--method", choices=list(METHODS), default="closed",
         help="construction route (default: closed)",
     )
     gen.add_argument("--format", choices=["json", "dot", "csv"], default="json")
@@ -131,8 +132,7 @@ def _write_out(text: str, path: str | None) -> None:
 
 
 def _cmd_generate(args) -> int:
-    spec = parse_graph_spec(args.spec)
-    form = spec.union_form()
+    form = union_form(parse_graph_spec(args.spec))
     if form is None:
         raise UsageError(
             "generate needs a spec with exactly one cycle and one path term, e.g. C8+P12"
@@ -188,8 +188,7 @@ def _cmd_search(args) -> int:
             raise EmptyGraphError(f"edge list {args.edges!r} has no edges")
         topology = build_free_graph(pairs)
     else:
-        spec = parse_graph_spec(args.spec)
-        topology = topology_from_spec(spec, read_file=_read_file)
+        topology = topology_from_spec(parse_graph_spec(args.spec), read_file=_read_file)
     budget = SearchBudget(max_nodes=args.max_nodes, time_limit_ms=args.timeout_ms)
     outcome = exhaustive_search(topology, budget)
     print(f"status: {outcome.status.value}")
@@ -215,13 +214,13 @@ def _cmd_bench(args) -> int:
         ) from None
     if not q_values:
         raise UsageError("--q-list is empty")
-    samples, summaries = run_bench(q_values, repetitions=args.reps, m=args.m)
-    _write_out(bench_csv(samples, summaries), args.out)
+    samples = run_bench(q_values, repetitions=args.reps, m=args.m)
+    _write_out(bench_csv(samples), args.out)
     if args.out is not None:
-        for summary in summaries:
+        for method in METHODS:
+            slope, r_squared, _ = fit(samples, method)
             print(
-                f"method={summary.method.value} slope={summary.slope:.4f}"
-                f" r_squared={summary.r_squared:.4f}",
+                f"method={method} slope={slope:.4f} r_squared={r_squared:.4f}",
                 file=sys.stderr,
             )
     return EXIT_OK

@@ -200,3 +200,7 @@ def algorithmic_labeling(params: ConstructionParams) -> Labeling:
     cycle_labels, _ = cycle_pass(params, markers)
     path_labels, _ = path_pass(params, markers)
     return cycle_labels + path_labels
+
+
+# the construction routes by their `generate --method` names
+METHODS = {"closed": closed_form_labeling, "algorithmic": algorithmic_labeling}

@@ -15,8 +15,6 @@ path term; the search command accepts any spec.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -34,37 +32,23 @@ _MAX_DIGITS = 18
 _DIGITS = "0123456789"
 
 
-class TermKind(enum.Enum):
-    CYCLE = "C"
-    PATH = "P"
-    FILE = "@"
+def union_form(spec: tuple[tuple[str, int | str], ...]) -> tuple[int, int] | None:
+    """(m, n) when the spec is exactly one cycle term plus one path term."""
+    if sorted(kind for kind, _ in spec) != ["C", "P"]:
+        return None
+    sizes = dict(spec)
+    return sizes["C"], sizes["P"]
 
 
-@dataclass(frozen=True)
-class SpecTerm:
-    kind: TermKind
-    size: int = 0
-    path: str = ""
+def parse_graph_spec(text: str) -> tuple[tuple[str, int | str], ...]:
+    """Parse a spec string into its ``(kind, value)`` terms.
 
-
-@dataclass(frozen=True)
-class GraphSpec:
-    text: str
-    terms: tuple[SpecTerm, ...]
-
-    def union_form(self) -> tuple[int, int] | None:
-        """(m, n) when the spec is exactly one cycle term plus one path term."""
-        if sorted(t.kind.value for t in self.terms) != ["C", "P"]:
-            return None
-        by_kind = {t.kind: t for t in self.terms}
-        return by_kind[TermKind.CYCLE].size, by_kind[TermKind.PATH].size
-
-
-def parse_graph_spec(text: str) -> GraphSpec:
-    """Parse a spec string; syntax errors carry the byte offset of the culprit."""
+    The kind is the grammar's own character: ``("C", 8)``, ``("P", 12)`` or
+    ``("@", "graph.txt")``. Syntax errors carry the byte offset of the culprit.
+    """
     if not text:
         raise GraphSpecError("empty spec", 0)
-    terms: list[SpecTerm] = []
+    terms: list[tuple[str, int | str]] = []
     pos = 0
     while True:
         if pos >= len(text):
@@ -83,8 +67,7 @@ def parse_graph_spec(text: str) -> GraphSpec:
             value = int(digits)
             if value < 1:
                 raise GraphSpecError("integer must be at least 1", start)
-            kind = TermKind.CYCLE if head == "C" else TermKind.PATH
-            terms.append(SpecTerm(kind, size=value))
+            terms.append((head, value))
             pos = end
         elif head == "@":
             start = pos + 1
@@ -94,7 +77,7 @@ def parse_graph_spec(text: str) -> GraphSpec:
             path = text[start:end]
             if not path:
                 raise GraphSpecError("expected a file path after '@'", start)
-            terms.append(SpecTerm(TermKind.FILE, path=path))
+            terms.append((head, path))
             pos = end
         else:
             raise GraphSpecError(f"unexpected character {head!r}", pos)
@@ -103,7 +86,7 @@ def parse_graph_spec(text: str) -> GraphSpec:
         if text[pos] != "+":
             raise GraphSpecError(f"unexpected character {text[pos]!r}", pos)
         pos += 1
-    return GraphSpec(text=text, terms=tuple(terms))
+    return tuple(terms)
 
 
 def parse_edge_list(text: str) -> list[tuple[int, int]]:
@@ -135,7 +118,7 @@ def _read_text(path: str) -> str:
 
 
 def topology_from_spec(
-    spec: GraphSpec, read_file: Callable[[str], str] = _read_text
+    spec: tuple[tuple[str, int | str], ...], read_file: Callable[[str], str] = _read_text
 ) -> GraphTopology:
     """Materialize a spec as a free-vertex topology, terms joined disjointly.
 
@@ -145,27 +128,27 @@ def topology_from_spec(
     """
     edges: list[tuple[int, int]] = []
     offset = 0
-    for term in spec.terms:
-        if term.kind is TermKind.CYCLE:
-            if term.size < 3:
+    for kind, value in spec:
+        if kind == "C":
+            if value < 3:
                 raise CycleTooSmallError(
-                    f"cycle term C{term.size} is degenerate; need at least C3"
+                    f"cycle term C{value} is degenerate; need at least C3"
                 )
-            edges.extend((offset + i, offset + i + 1) for i in range(1, term.size))
-            edges.append((offset + term.size, offset + 1))
-            offset += term.size
-        elif term.kind is TermKind.PATH:
-            if term.size < 2:
+            edges.extend((offset + i, offset + i + 1) for i in range(1, value))
+            edges.append((offset + value, offset + 1))
+            offset += value
+        elif kind == "P":
+            if value < 2:
                 raise PathTooShortError(
-                    f"path term P{term.size} contributes no edges; need at least P2",
+                    f"path term P{value} contributes no edges; need at least P2",
                     required=2,
                 )
-            edges.extend((offset + j, offset + j + 1) for j in range(1, term.size))
-            offset += term.size
+            edges.extend((offset + j, offset + j + 1) for j in range(1, value))
+            offset += value
         else:
-            pairs = parse_edge_list(read_file(term.path))
+            pairs = parse_edge_list(read_file(value))
             if not pairs:
-                raise EmptyGraphError(f"edge list {term.path!r} has no edges")
+                raise EmptyGraphError(f"edge list {value!r} has no edges")
             indices = sorted({index for pair in pairs for index in pair})
             remap = {local: offset + rank for rank, local in enumerate(indices, start=1)}
             edges.extend((remap[a], remap[b]) for a, b in pairs)

@@ -20,15 +20,17 @@ vertices than 2q labels has no labeling and ends at once.
 
 Two symmetries cut the first level. Solutions come in complement pairs (f
 and 2q-1-f), which swap the orientation of the edge carrying 2q-1, so only
-one orientation of that edge is tried. And 2q-1 goes only on
-``root_edges``: the lowest-numbered edge of each orbit under the
-automorphisms known from the topology alone, the rotations and reflections
-of a cycle component, the reversal of a path component and the swaps of
-equal cycle or path components. If an automorphism s maps edge e to r and f
-is odd graceful with 2q-1 on e, then f composed with s^-1 is odd graceful
-with 2q-1 on r, so no verdict is lost; its complement keeps 2q-1 on r, so
-the two cuts hold together. A cycle's edges are one orbit, so C_m searches
-one edge in m.
+one orientation of that edge is tried. Below the root no symmetry is left to
+pair the two orientations of an edge, so both are tried: a renumbered
+C10+P3+P5 is found in 45 nodes with them and in 21,677,634 without. And 2q-1
+goes only on ``root_edges``: the lowest-numbered edge of each orbit under
+the automorphisms known from the topology alone, the rotations and
+reflections of a cycle component, the reversal of a path component and the
+swaps of equal cycle or path components. If an automorphism s maps edge e to
+r and f is odd graceful with 2q-1 on e, then f composed with s^-1 is odd
+graceful with 2q-1 on r, so no verdict is lost; its complement keeps 2q-1 on
+r, so the two cuts hold together. A cycle's edges are one orbit, so C_m
+searches one edge in m.
 
 Exhaustion cost still grows exponentially with q: C9 takes 3,233 nodes,
 C11 109,447 (about 1 s) and C13 5,346,249 (about 40 s). A larger graph runs

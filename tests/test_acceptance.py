@@ -20,7 +20,7 @@ from oddgraceful import (
     validate_params,
     verify_odd_graceful,
 )
-from oddgraceful.bench import Method, run_bench, summarize
+from oddgraceful.bench import fit, run_bench
 from oddgraceful.construction import (
     cycle_pass,
     force_params,
@@ -273,17 +273,13 @@ def test_c7_oracle_constructor_agreement():
 def test_c8_linear_runtime():
     with criterion(8, "construction time scales linearly in q"):
         q_values = [1_000, 10_000, 100_000, 1_000_000]
-        samples, _ = run_bench(q_values, repetitions=3, m=8)
-        summary = summarize(samples, Method.ALGORITHMIC)
-        print(
-            f"  algorithmic: slope={summary.slope:.4f} r_squared={summary.r_squared:.4f}"
-        )
-        closed = summarize(samples, Method.CLOSED_FORM)
-        print(
-            f"  closed form: slope={closed.slope:.4f} r_squared={closed.r_squared:.4f}"
-        )
-        assert 0.85 <= summary.slope <= 1.15
-        assert summary.r_squared >= 0.95
+        samples = run_bench(q_values, repetitions=3, m=8)
+        slope, r_squared, _ = fit(samples, "algorithmic")
+        print(f"  algorithmic: slope={slope:.4f} r_squared={r_squared:.4f}")
+        closed_slope, closed_r_squared, _ = fit(samples, "closed")
+        print(f"  closed form: slope={closed_slope:.4f} r_squared={closed_r_squared:.4f}")
+        assert 0.85 <= slope <= 1.15
+        assert r_squared >= 0.95
 
 
 def test_c9_verifier_properties():

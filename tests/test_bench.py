@@ -1,13 +1,9 @@
+import math
+
 import pytest
 
-from oddgraceful.bench import (
-    BenchSample,
-    Method,
-    bench_csv,
-    params_for_q,
-    run_bench,
-    summarize,
-)
+from oddgraceful.bench import bench_csv, fit, params_for_q, run_bench
+from oddgraceful.construction import METHODS
 from oddgraceful.errors import PathTooShortError
 
 
@@ -30,12 +26,12 @@ class TestParamsForQ:
 
 class TestRunBench:
     def test_sample_counts_and_positivity(self):
-        samples, summaries = run_bench([50, 100, 200], repetitions=2)
+        samples = run_bench([50, 100, 200], repetitions=2)
         assert len(samples) == 3 * 2 * 2
-        assert all(sample.construction_time_ns > 0 for sample in samples)
-        assert {summary.method for summary in summaries} == set(Method)
-        for summary in summaries:
-            assert summary.q_points == 3
+        assert all(nanoseconds > 0 for _, _, nanoseconds in samples)
+        assert {method for _, method, _ in samples} == set(METHODS)
+        for method in METHODS:
+            assert fit(samples, method)[2] == 3
 
     def test_zero_repetitions_rejected(self):
         with pytest.raises(ValueError):
@@ -52,56 +48,41 @@ class TestRunBench:
 
 class TestSummarize:
     def test_synthetic_linear_data_gives_slope_one(self):
-        samples = [
-            BenchSample(q=q, method=Method.ALGORITHMIC, construction_time_ns=17 * q)
-            for q in (100, 1000, 10000)
-        ]
-        summary = summarize(samples, Method.ALGORITHMIC)
-        assert summary.slope == pytest.approx(1.0)
-        assert summary.r_squared == pytest.approx(1.0)
+        samples = [(q, "algorithmic", 17 * q) for q in (100, 1000, 10000)]
+        slope, r_squared, _ = fit(samples, "algorithmic")
+        assert slope == pytest.approx(1.0)
+        assert r_squared == pytest.approx(1.0)
 
     def test_synthetic_quadratic_data_gives_slope_two(self):
-        samples = [
-            BenchSample(q=q, method=Method.CLOSED_FORM, construction_time_ns=3 * q * q)
-            for q in (100, 1000, 10000)
-        ]
-        summary = summarize(samples, Method.CLOSED_FORM)
-        assert summary.slope == pytest.approx(2.0)
+        samples = [(q, "closed", 3 * q * q) for q in (100, 1000, 10000)]
+        slope, _, _ = fit(samples, "closed")
+        assert slope == pytest.approx(2.0)
 
     def test_median_is_used_per_q(self):
         samples = [
-            BenchSample(q=100, method=Method.CLOSED_FORM, construction_time_ns=t)
-            for t in (90, 100, 5000)  # outlier ignored by the median
-        ] + [
-            BenchSample(q=1000, method=Method.CLOSED_FORM, construction_time_ns=1000)
-        ]
-        summary = summarize(samples, Method.CLOSED_FORM)
-        assert summary.slope == pytest.approx(1.0)
+            (100, "closed", t) for t in (90, 100, 5000)  # outlier ignored by the median
+        ] + [(1000, "closed", 1000)]
+        slope, _, _ = fit(samples, "closed")
+        assert slope == pytest.approx(1.0)
 
     def test_single_point_has_no_fit(self):
-        samples = [BenchSample(q=100, method=Method.CLOSED_FORM, construction_time_ns=5)]
-        summary = summarize(samples, Method.CLOSED_FORM)
-        assert summary.q_points == 1
-        assert summary.slope != summary.slope  # NaN
+        slope, _, q_points = fit([(100, "closed", 5)], "closed")
+        assert q_points == 1
+        assert slope != slope  # NaN
+
+    def test_flat_times_give_slope_zero(self):
+        slope, r_squared, q_points = fit([(100, "closed", 5), (1000, "closed", 5)], "closed")
+        assert slope == 0.0
+        assert math.isnan(r_squared)
+        assert q_points == 2
 
 
 class TestCsv:
     def test_layout(self):
-        samples = [
-            BenchSample(q=50, method=Method.CLOSED_FORM, construction_time_ns=10),
-            BenchSample(q=50, method=Method.ALGORITHMIC, construction_time_ns=20),
-        ]
-        summaries = [summarize(samples, method) for method in Method]
-        text = bench_csv(samples, summaries)
+        text = bench_csv([(50, "closed", 10), (50, "algorithmic", 20)])
         lines = text.strip().splitlines()
         assert lines[0] == "q,method,nanoseconds"
         assert lines[1] == "50,closed,10"
         assert lines[2] == "50,algorithmic,20"
         assert lines[3].startswith("# method=closed slope=")
         assert lines[4].startswith("# method=algorithmic slope=")
-
-    def test_sample_validation(self):
-        with pytest.raises(ValueError):
-            BenchSample(q=2, method=Method.CLOSED_FORM, construction_time_ns=10)
-        with pytest.raises(ValueError):
-            BenchSample(q=50, method=Method.CLOSED_FORM, construction_time_ns=0)

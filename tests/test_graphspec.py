@@ -7,35 +7,36 @@ from oddgraceful import (
     GraphSpecError,
     PathTooShortError,
 )
-from oddgraceful.graphspec import TermKind, parse_edge_list, parse_graph_spec, topology_from_spec
+from oddgraceful.graphspec import (
+    parse_edge_list,
+    parse_graph_spec,
+    topology_from_spec,
+    union_form,
+)
 
 
 class TestParseGraphSpec:
     def test_cycle_plus_path(self):
         spec = parse_graph_spec("C8+P12")
-        assert [(t.kind, t.size) for t in spec.terms] == [
-            (TermKind.CYCLE, 8),
-            (TermKind.PATH, 12),
-        ]
-        assert spec.union_form() == (8, 12)
+        assert spec == (("C", 8), ("P", 12))
+        assert union_form(spec) == (8, 12)
 
     def test_single_cycle(self):
         spec = parse_graph_spec("C4")
-        assert len(spec.terms) == 1
-        assert spec.union_form() is None
+        assert len(spec) == 1
+        assert union_form(spec) is None
 
     def test_two_cycles_parse_fine(self):
         spec = parse_graph_spec("C4+C4")
-        assert len(spec.terms) == 2
-        assert spec.union_form() is None
+        assert len(spec) == 2
+        assert union_form(spec) is None
 
     def test_path_first_union_form(self):
-        assert parse_graph_spec("P3+C4").union_form() == (4, 3)
+        assert union_form(parse_graph_spec("P3+C4")) == (4, 3)
 
     def test_file_term(self):
         spec = parse_graph_spec("@graph.txt+C4")
-        assert spec.terms[0].kind is TermKind.FILE
-        assert spec.terms[0].path == "graph.txt"
+        assert spec[0] == ("@", "graph.txt")
 
     @pytest.mark.parametrize(
         "text, offset",
