@@ -22,7 +22,6 @@ from .construction import (
 )
 from .errors import (
     DocumentError,
-    EmptyGraphError,
     GraphSpecError,
     OddGracefulError,
 )
@@ -34,8 +33,9 @@ from .formats import (
     to_csv,
     to_dot,
 )
+# build_free_graph is unused here, but perfbench/tracing.py wraps it under this name
 from .graphs import build_free_graph, build_union_graph
-from .graphspec import parse_edge_list, parse_graph_spec, topology_from_spec, union_form
+from .graphspec import parse_graph_spec, read_text, topology_from_spec, union_form
 from .search import SearchBudget, SearchStatus, exhaustive_search
 from .verification import verify_odd_graceful
 
@@ -114,13 +114,6 @@ def _count(violations) -> str:
     return f"{len(violations)} violation" + ("" if len(violations) == 1 else "s")
 
 
-def _read_file(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read {path!r}: {exc}") from None
-
-
 def _write_out(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -164,10 +157,15 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.input in (None, "-"):
-        text = sys.stdin.read()
+    if args.input not in (None, "-"):
+        text = read_text(args.input)
+    elif sys.stdin is None:  # descriptor 0 was closed when the process started
+        raise DocumentError("cannot read standard input: it is closed")
     else:
-        text = _read_file(args.input)
+        try:
+            text = sys.stdin.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DocumentError(f"cannot read standard input: {exc}") from None
     topology, labeling = parse_labeling_document(text)
     report = verify_odd_graceful(topology, labeling)
     if args.json:
@@ -182,13 +180,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    if args.edges is not None:
-        pairs = parse_edge_list(_read_file(args.edges))
-        if not pairs:
-            raise EmptyGraphError(f"edge list {args.edges!r} has no edges")
-        topology = build_free_graph(pairs)
-    else:
-        topology = topology_from_spec(parse_graph_spec(args.spec), read_file=_read_file)
+    # --edges takes any path; in a spec an @ term ends at the next "+"
+    spec = parse_graph_spec(args.spec) if args.edges is None else (("@", args.edges),)
+    topology = topology_from_spec(spec)
     budget = SearchBudget(max_nodes=args.max_nodes, time_limit_ms=args.timeout_ms)
     outcome = exhaustive_search(topology, budget)
     print(f"status: {outcome.status.value}")

@@ -8,15 +8,15 @@ Grammar::
 Integers are decimal and at least 1. ``+`` is disjoint union: each term's
 vertices land in a fresh block, so ``C4+C4`` is two disjoint 4-cycles. An
 ``@`` term pulls an edge list from a file (one ``a b`` pair of positive
-ASCII-decimal indices per line, blank lines and ``#`` comments ignored).
-Constructor-backed commands additionally require exactly one cycle and one
-path term; the search command accepts any spec.
+ASCII-decimal indices per line, blank lines and ``#`` comments ignored) and
+keeps the file's vertex numbers, shifted past the largest number used by the
+terms before it. Constructor-backed commands additionally require exactly one
+cycle and one path term; the search command accepts any spec.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable
 
 from .errors import (
     CycleTooSmallError,
@@ -113,18 +113,21 @@ def parse_edge_list(text: str) -> list[tuple[int, int]]:
     return edges
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text()
+def read_text(path: str) -> str:
+    """The text of an input file; a file that cannot be read is a parse error."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DocumentError(f"cannot read {path!r}: {exc}") from None
 
 
-def topology_from_spec(
-    spec: tuple[tuple[str, int | str], ...], read_file: Callable[[str], str] = _read_text
-) -> GraphTopology:
+def topology_from_spec(spec: tuple[tuple[str, int | str], ...]) -> GraphTopology:
     """Materialize a spec as a free-vertex topology, terms joined disjointly.
 
     Cycle terms need at least 3 vertices and path terms at least 2 (degenerate
-    terms have no clean edge-list reading); an ``@`` term contributes its
-    distinct indices, remapped in ascending order, as a fresh vertex block.
+    terms have no clean edge-list reading). An ``@`` term keeps the file's
+    vertex numbers: vertex k becomes ``offset + k``, where the offset is the
+    largest vertex number used by the terms before it.
     """
     edges: list[tuple[int, int]] = []
     offset = 0
@@ -146,11 +149,9 @@ def topology_from_spec(
             edges.extend((offset + j, offset + j + 1) for j in range(1, value))
             offset += value
         else:
-            pairs = parse_edge_list(read_file(value))
+            pairs = parse_edge_list(read_text(value))
             if not pairs:
                 raise EmptyGraphError(f"edge list {value!r} has no edges")
-            indices = sorted({index for pair in pairs for index in pair})
-            remap = {local: offset + rank for rank, local in enumerate(indices, start=1)}
-            edges.extend((remap[a], remap[b]) for a, b in pairs)
-            offset += len(indices)
+            edges.extend((offset + a, offset + b) for a, b in pairs)
+            offset += max(max(pair) for pair in pairs)
     return build_free_graph(edges)

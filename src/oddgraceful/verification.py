@@ -172,14 +172,3 @@ def _violations(
         violations.append(EdgeLabelSetIncomplete(missing=missing))
 
     return violations
-
-
-def complement_labeling(topology: GraphTopology, labeling: Labeling) -> Labeling:
-    """Mirror every label to 2q - 1 - f(v).
-
-    Absolute differences are preserved and [0, 2q-1] maps onto itself, so the
-    complement of a passing labeling passes as well.
-    """
-    _require_total(topology, labeling)
-    top = 2 * topology.q - 1
-    return tuple(top - value for value in labeling)

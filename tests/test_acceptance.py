@@ -32,7 +32,6 @@ from oddgraceful.graphs import build_free_graph
 from oddgraceful.verification import (
     DuplicateVertexLabel,
     EdgeLabelEven,
-    complement_labeling,
     edge_labels,
 )
 
@@ -292,7 +291,7 @@ def test_c9_verifier_properties():
             topology = build_union_graph(m, n)
             labeling = closed_form_labeling(validate_params(m, n))
             assert verify_odd_graceful(topology, labeling).is_odd_graceful
-            mirrored = complement_labeling(topology, labeling)
+            mirrored = tuple(2 * topology.q - 1 - v for v in labeling)
             assert verify_odd_graceful(topology, mirrored).is_odd_graceful
 
         for _ in range(100):

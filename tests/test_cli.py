@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import resource
@@ -125,6 +126,18 @@ class TestVerify:
         assert code == 64
         assert err.startswith("error: cannot read")
 
+    def test_undecodable_stdin(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe{"), encoding="utf-8", errors="strict")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run(capsys, "verify")
+        assert (code, out) == (64, "")
+        assert err.startswith("error: cannot read standard input: ")
+        assert err.count("\n") == 1
+
+    def test_closed_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", None)
+        assert run(capsys, "verify") == (64, "", "error: cannot read standard input: it is closed\n")
+
     @pytest.mark.parametrize(
         "text",
         ["[" * 100_000 + "]" * 100_000, '{"a":' * 100_000 + "1" + "}" * 100_000],
@@ -194,6 +207,43 @@ class TestSearch:
         assert run(capsys, "search", "--edges", str(listing)) == (
             64, "", "error: line 1: integer too large\n",
         )
+
+    @pytest.mark.parametrize(
+        "content, expected_code",
+        [
+            (b"1 2\n2 3\n3 4\n4 1\n", 0),
+            (b"10 30\n30 20\n", 0),
+            (b"5 7\n7 5\n7 7\n", 1),
+            (b"3 1\n1 3\n2 9\n", 0),
+            (b"# nothing\n", 1),
+            (b"\xff\xfe{", 64),
+            (b"1_0 2\n", 64),
+            (b"0 1\n", 64),
+            (None, 64),
+        ],
+        ids=[
+            "contiguous", "gappy", "self-loop", "duplicate", "empty", "undecodable",
+            "underscore", "zero", "missing",
+        ],
+    )
+    def test_edges_file_is_the_file_term(self, capsys, tmp_path, content, expected_code):
+        listing = tmp_path / "graph.txt"
+        if content is not None:
+            listing.write_bytes(content)
+        by_edges = run(capsys, "search", "--edges", str(listing))
+        assert by_edges[0] == expected_code
+        assert run(capsys, "search", "--spec", f"@{listing}") == by_edges
+
+    def test_edges_file_keeps_its_vertex_numbers(self, capsys, tmp_path):
+        listing = tmp_path / "graph.txt"
+        listing.write_text("5 7\n7 5\n7 7\n")
+        assert run(capsys, "search", "--edges", str(listing)) == (
+            1, "", "error: self-loop at vertex 7\n",
+        )
+        listing.write_text("10 30\n30 20\n")
+        code, out, _ = run(capsys, "search", "--spec", f"@{listing}")
+        assert code == 0
+        assert [line.split(" = ")[0] for line in out.splitlines()[4:]] == ["  w10", "  w20", "  w30"]
 
     def test_degenerate_cycle_term(self, capsys):
         code, _, err = run(capsys, "search", "--spec", "C2")

@@ -121,13 +121,27 @@ class TestTopologyFromSpec:
         with pytest.raises(PathTooShortError):
             topology_from_spec(parse_graph_spec("C4+P1"))
 
-    def test_file_term_remaps_indices(self, tmp_path):
+    def test_file_term_keeps_file_numbers_past_offset(self, tmp_path):
         listing = tmp_path / "edges.txt"
         listing.write_text("10 30\n30 20\n")
         topology = topology_from_spec(parse_graph_spec(f"P2+@{listing}"))
-        # P2 takes w1-w2; the file's {10, 20, 30} become w3, w4, w5
+        # P2 takes w1-w2; the file's 10, 20, 30 shift past 2 to w12, w22, w32
         assert len(topology.names) == 5
         assert topology.q == 3
+
+    def test_file_term_vertex_names(self, tmp_path):
+        listing = tmp_path / "gap.txt"
+        listing.write_text("10 30\n30 20\n")
+        names = topology_from_spec(parse_graph_spec(f"P2+@{listing}")).names
+        assert names == ("w1", "w2", "w12", "w22", "w32")
+        # a later term starts past the file's largest number, 2 + 30
+        names = topology_from_spec(parse_graph_spec(f"P2+@{listing}+P2")).names
+        assert names[-2:] == ("w33", "w34")
+
+    def test_unreadable_file_is_a_parse_error(self, tmp_path):
+        missing = tmp_path / "missing.txt"
+        with pytest.raises(DocumentError, match="^cannot read "):
+            topology_from_spec(parse_graph_spec(f"@{missing}"))
 
     def test_empty_file_rejected(self, tmp_path):
         listing = tmp_path / "empty.txt"

@@ -16,7 +16,6 @@ from oddgraceful.verification import (
     EdgeLabelEven,
     EdgeLabelSetIncomplete,
     VertexLabelOutOfRange,
-    complement_labeling,
     edge_labels,
 )
 
@@ -110,7 +109,7 @@ class TestVerifierProperties:
     def test_complement_closure(self, params):
         topology = build_union_graph(params.m, params.n)
         labeling = closed_form_labeling(params)
-        mirrored = complement_labeling(topology, labeling)
+        mirrored = tuple(2 * topology.q - 1 - v for v in labeling)
         assert verify_odd_graceful(topology, mirrored).is_odd_graceful
         assert edge_labels(topology, mirrored) == edge_labels(topology, labeling)
 
