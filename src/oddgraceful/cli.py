@@ -2,13 +2,14 @@
 
 Exit codes: 0 success (or labeling found), 1 verification failure, invalid
 parameters or an input too large to process, 2 search exhausted with no
-labeling, 3 search budget exhausted, 64 usage or parse errors.
+labeling, 3 search budget exhausted, 64 usage, parse or output errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -116,7 +117,7 @@ def _count(violations) -> str:
 
 def _write_out(text: str, path: str | None) -> None:
     if path is None:
-        sys.stdout.write(text)
+        print(text, end="")  # like every print, skipped when stdout is closed
         return
     try:
         Path(path).write_text(text)
@@ -157,15 +158,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.input not in (None, "-"):
-        text = read_text(args.input)
-    elif sys.stdin is None:  # descriptor 0 was closed when the process started
-        raise DocumentError("cannot read standard input: it is closed")
-    else:
-        try:
-            text = sys.stdin.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DocumentError(f"cannot read standard input: {exc}") from None
+    text = read_text(None if args.input == "-" else args.input)
     topology, labeling = parse_labeling_document(text)
     report = verify_odd_graceful(topology, labeling)
     if args.json:
@@ -232,9 +225,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        print(end="", flush=True)  # a full or broken stdout fails here, not at exit
+        return code
     except (UsageError, GraphSpecError, DocumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # the handlers map the errors of every file they open
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        if sys.stdout is sys.__stdout__:  # the unwritten buffer would fail again at exit
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         return EXIT_USAGE
     except OddGracefulError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,11 +11,14 @@ vertices land in a fresh block, so ``C4+C4`` is two disjoint 4-cycles. An
 ASCII-decimal indices per line, blank lines and ``#`` comments ignored) and
 keeps the file's vertex numbers, shifted past the largest number used by the
 terms before it. Constructor-backed commands additionally require exactly one
-cycle and one path term; the search command accepts any spec.
+cycle and one path term; the search command accepts any spec. ``read_text``
+reads every input: a file, or standard input when its path is None.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from pathlib import Path
 
 from .errors import (
@@ -29,7 +32,8 @@ from .graphs import GraphTopology, build_free_graph
 
 # 2q-1 already overstates any practical label; cap parses well before overflow
 _MAX_DIGITS = 18
-_DIGITS = "0123456789"
+# the grammar's term; [0-9] takes ASCII digits only, and a path ends at "+"
+_TERM = re.compile(r"([CP])([0-9]*)|@([^+]*)")
 
 
 def union_form(spec: tuple[tuple[str, int | str], ...]) -> tuple[int, int] | None:
@@ -51,42 +55,30 @@ def parse_graph_spec(text: str) -> tuple[tuple[str, int | str], ...]:
     terms: list[tuple[str, int | str]] = []
     pos = 0
     while True:
-        if pos >= len(text):
-            raise GraphSpecError("expected a term", pos)
-        head = text[pos]
-        if head in ("C", "P"):
-            start = pos + 1
-            end = start
-            while end < len(text) and text[end] in _DIGITS:
-                end += 1
-            digits = text[start:end]
-            if not digits:
-                raise GraphSpecError(f"expected an integer after {head!r}", start)
-            if len(digits) > _MAX_DIGITS:
-                raise GraphSpecError("integer too large", start)
-            value = int(digits)
-            if value < 1:
-                raise GraphSpecError("integer must be at least 1", start)
-            terms.append((head, value))
-            pos = end
-        elif head == "@":
-            start = pos + 1
-            end = start
-            while end < len(text) and text[end] != "+":
-                end += 1
-            path = text[start:end]
+        term = _TERM.match(text, pos)
+        if term is None:
+            if pos == len(text):
+                raise GraphSpecError("expected a term", pos)
+            raise GraphSpecError(f"unexpected character {text[pos]!r}", pos)
+        kind, digits, path = term.groups()
+        if kind is None:
             if not path:
-                raise GraphSpecError("expected a file path after '@'", start)
-            terms.append((head, path))
-            pos = end
+                raise GraphSpecError("expected a file path after '@'", pos + 1)
+            terms.append(("@", path))
+        elif not digits:
+            raise GraphSpecError(f"expected an integer after {kind!r}", pos + 1)
+        elif len(digits) > _MAX_DIGITS:
+            raise GraphSpecError("integer too large", pos + 1)
+        elif int(digits) < 1:
+            raise GraphSpecError("integer must be at least 1", pos + 1)
         else:
-            raise GraphSpecError(f"unexpected character {head!r}", pos)
+            terms.append((kind, int(digits)))
+        pos = term.end()
         if pos == len(text):
-            break
+            return tuple(terms)
         if text[pos] != "+":
             raise GraphSpecError(f"unexpected character {text[pos]!r}", pos)
         pos += 1
-    return tuple(terms)
 
 
 def parse_edge_list(text: str) -> list[tuple[int, int]]:
@@ -113,12 +105,18 @@ def parse_edge_list(text: str) -> list[tuple[int, int]]:
     return edges
 
 
-def read_text(path: str) -> str:
-    """The text of an input file; a file that cannot be read is a parse error."""
+def read_text(path: str | None) -> str:
+    """The text of an input file, or of standard input when ``path`` is None;
+    input that cannot be read is a parse error."""
     try:
-        return Path(path).read_text()
+        if path is not None:
+            return Path(path).read_text()
+        if sys.stdin is None:  # descriptor 0 was closed when the process started
+            raise OSError("it is closed")
+        return sys.stdin.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise DocumentError(f"cannot read {path!r}: {exc}") from None
+        source = "standard input" if path is None else repr(path)
+        raise DocumentError(f"cannot read {source}: {exc}") from None
 
 
 def topology_from_spec(spec: tuple[tuple[str, int | str], ...]) -> GraphTopology:

@@ -1,0 +1,31 @@
+"""Every document ``generate`` writes takes the canonical union parse.
+
+The per-entry walk in ``parse_labeling_document`` gives the same result, only
+slower; without this check, a document pushed onto it would show only as a
+slower benchmark."""
+
+import json
+
+import pytest
+
+from oddgraceful import build_union_graph
+from oddgraceful.construction import METHODS, force_params
+from oddgraceful.formats import (
+    _canonical_union,
+    document_to_json,
+    labeling_document,
+    parse_labeling_document,
+)
+
+# below-bound cells included: force_params skips the path-length bound
+CELLS = [(m, n) for m in range(4, 21, 2) for n in range(1, 31)] + [(8, 12000)]
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+def test_generated_documents_take_the_canonical_parse(method):
+    for m, n in CELLS:
+        labeling = METHODS[method](force_params(m, n))
+        text = document_to_json(labeling_document(build_union_graph(m, n), labeling))
+        canonical = _canonical_union(json.loads(text), m, n)
+        assert canonical is not None, (m, n)
+        assert canonical == parse_labeling_document(text), (m, n)

@@ -1,3 +1,5 @@
+import argparse
+import errno
 import io
 import json
 import os
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from oddgraceful.cli import main
+from oddgraceful.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -17,6 +19,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv, **kwargs):
+    """Run ``python -m oddgraceful`` in a child process, its output captured."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run(
+        [sys.executable, "-m", "oddgraceful", *argv],
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=300,
+        **kwargs,
+    )
 
 
 class TestGenerate:
@@ -137,6 +153,25 @@ class TestVerify:
     def test_closed_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", None)
         assert run(capsys, "verify") == (64, "", "error: cannot read standard input: it is closed\n")
+
+    def test_closed_descriptor_0(self):
+        result = run_module("verify", preexec_fn=lambda: os.close(0))
+        assert (result.returncode, result.stdout) == (64, "")
+        assert result.stderr == "error: cannot read standard input: it is closed\n"
+
+    def test_dash_reads_stdin(self, capsys, monkeypatch, tmp_path):
+        target = tmp_path / "labeling.json"
+        run(capsys, "generate", "--spec", "C4+P3", "--out", str(target))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(target.read_text()))
+        code, out, err = run(capsys, "verify", "--input", "-")
+        assert (code, err) == (0, "")
+        assert out.startswith("odd graceful: yes")
+
+    def test_directory(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify", "--input", str(tmp_path))
+        assert (code, out) == (64, "")
+        assert err.startswith(f"error: cannot read {str(tmp_path)!r}: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "text",
@@ -307,15 +342,7 @@ class TestOversizedInputs:
             # applies to the child process only
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-m", "oddgraceful", "generate", "--spec", "C8+P99999999"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-            preexec_fn=cap_address_space,
-            timeout=300,
-        )
+        result = run_module("generate", "--spec", "C8+P99999999", preexec_fn=cap_address_space)
         assert result.returncode == 1
         assert result.stdout == ""
         assert result.stderr.startswith("error:") and "too large" in result.stderr
@@ -330,3 +357,156 @@ class TestUsage:
     def test_no_command(self, capsys):
         code, _, err = run(capsys)
         assert code == 64
+
+
+class FullStdout:
+    """A standard output on a full disk: ``write`` or ``flush`` fails."""
+
+    def __init__(self, failing):
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return len(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+COMMANDS = {
+    "generate": ["generate", "--spec", "C4+P3"],
+    "verify": ["verify", "--input", "DOCUMENT"],
+    "search": ["search", "--spec", "C4"],
+    "bench": ["bench", "--q-list", "50", "--reps", "1"],
+}
+
+
+def cannot_write(code):
+    return f"error: cannot write standard output: [Errno {code}] {os.strerror(code)}\n"
+
+
+class TestStandardOutput:
+    @pytest.fixture(params=list(COMMANDS))
+    def argv(self, request, capsys, tmp_path):
+        """The command's arguments, with a document written for verify to read."""
+        target = tmp_path / "labeling.json"
+        run(capsys, "generate", "--spec", "C4+P3", "--out", str(target))
+        return [str(target) if arg == "DOCUMENT" else arg for arg in COMMANDS[request.param]]
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_failure_is_one_error_line(self, capsys, monkeypatch, argv, failing):
+        monkeypatch.setattr(sys, "stdout", FullStdout(failing))
+        assert run(capsys, *argv)[::2] == (64, cannot_write(errno.ENOSPC))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device(self, argv):
+        with open("/dev/full", "w") as full:
+            result = run_module(*argv, stdout=full)
+        # nothing more at shutdown: no traceback, no "Exception ignored"
+        assert (result.returncode, result.stderr) == (64, cannot_write(errno.ENOSPC))
+
+    def test_broken_pipe(self):
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            result = run_module("search", "--spec", "C4", stdout=writer)
+        finally:
+            os.close(writer)
+        assert (result.returncode, result.stderr) == (64, cannot_write(errno.EPIPE))
+
+
+def subcommands(parser):
+    (action,) = [
+        action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+def options(parser):
+    """One record per option: option strings, dest, default, choices,
+    required, type name and help. Structural, unlike ``format_help()``,
+    whose layout differs between Python versions."""
+    return [
+        (
+            tuple(action.option_strings), action.dest, action.default,
+            None if action.choices is None else tuple(action.choices),
+            action.required, getattr(action.type, "__name__", None), action.help,
+        )
+        for action in parser._actions
+    ]
+
+
+HELP = (("-h", "--help"), "help", argparse.SUPPRESS, None, False, None, "show this help message and exit")
+SURFACE = {
+    "oddgraceful": [
+        HELP,
+        ((), "command", None, ("generate", "verify", "search", "bench"), True, None, None),
+    ],
+    "generate": [
+        HELP,
+        (("--spec",), "spec", None, None, True, None, 'graph spec, e.g. "C8+P12"'),
+        (
+            ("--method",), "method", "closed", ("closed", "algorithmic"), False, None,
+            "construction route (default: closed)",
+        ),
+        (("--format",), "format", "json", ("json", "dot", "csv"), False, None, None),
+        (
+            ("--force",), "force", False, None, False, None,
+            "construct even when (m, n) is out of range; the result is still verified",
+        ),
+        (("--out",), "out", None, None, False, None, "output file (default: stdout)"),
+    ],
+    "verify": [
+        HELP,
+        (("--input",), "input", None, None, False, None, "document file (default: stdin)"),
+        (("--json",), "json", False, None, False, None, "machine-readable report"),
+    ],
+    "search": [
+        HELP,
+        (
+            ("--spec",), "spec", None, None, False, None,
+            'graph spec, e.g. "C4+P3" (terms join disjointly)',
+        ),
+        (("--edges",), "edges", None, None, False, None, "edge-list file, one 'a b' pair per line"),
+        (("--max-nodes",), "max_nodes", 100_000_000, None, False, "_positive_int", None),
+        (("--timeout-ms",), "timeout_ms", None, None, False, "_positive_int", None),
+    ],
+    "bench": [
+        HELP,
+        (
+            ("--q-list",), "q_list", "1000,10000,100000,1000000", None, False, None,
+            "comma-separated edge counts (default: 1000,10000,100000,1000000)",
+        ),
+        (("--reps",), "reps", 5, None, False, "_positive_int", None),
+        (
+            ("--m",), "m", 8, None, False, "_positive_int",
+            "fixed cycle length; the path length varies with q (default: 8)",
+        ),
+        (("--out",), "out", None, None, False, None, "output file (default: stdout)"),
+    ],
+}
+
+
+class TestSurface:
+    """Every option of the command line, pinned: a change here is a change
+    to the interface, not a refactor."""
+
+    def test_options(self):
+        parser = build_parser()
+        recorded = {"oddgraceful": options(parser)}
+        recorded.update((name, options(sub)) for name, sub in subcommands(parser).items())
+        assert recorded == SURFACE
+
+    def test_search_needs_exactly_one_source(self):
+        groups = {
+            name: [
+                ([action.dest for action in group._group_actions], group.required)
+                for group in sub._mutually_exclusive_groups
+            ]
+            for name, sub in subcommands(build_parser()).items()
+        }
+        assert groups == {
+            "generate": [], "verify": [], "search": [(["spec", "edges"], True)], "bench": [],
+        }

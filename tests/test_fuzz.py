@@ -1,6 +1,6 @@
-"""Fuzzed inputs: each parser raises only its own error class, ``verify``
-ends every document in exit code 0, 1 or 64, and the verifier's pass check
-agrees with its itemizing checks."""
+"""Fuzzed inputs: each parser raises only its own error class, a spec's
+terms parse back from their text, ``verify`` ends every document in exit code
+0, 1 or 64, and the verifier's pass check agrees with its itemizing checks."""
 
 import contextlib
 import copy
@@ -76,8 +76,19 @@ DOCUMENTS = JSON_VALUES.map(json.dumps) | mutated_documents() | st.text()
 def test_spec_parser_raises_only_spec_errors(text):
     try:
         parse_graph_spec(text)
-    except GraphSpecError:
-        pass
+    except GraphSpecError as exc:
+        assert 0 <= exc.offset <= len(text)
+
+
+TERMS = st.tuples(st.sampled_from("CP"), st.integers(1, 10**18 - 1)) | st.tuples(
+    st.just("@"), st.text(st.characters(exclude_characters="+"), min_size=1)
+)
+
+
+@given(st.lists(TERMS, min_size=1, max_size=4))
+def test_spec_terms_parse_back(terms):
+    text = "+".join(f"{kind}{value}" for kind, value in terms)
+    assert parse_graph_spec(text) == tuple(terms)
 
 
 @given(st.text() | st.text(alphabet="0123456789 -+_#\nx", max_size=30))
