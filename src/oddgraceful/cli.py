@@ -28,7 +28,7 @@ from .errors import (
 )
 from .formats import (
     document_to_json,
-    labeling_document,
+    labeling_document,  # unused here, but perfbench/tracing.py wraps it under this name
     parse_labeling_document,
     report_to_dict,
     to_csv,
@@ -115,6 +115,15 @@ def _count(violations) -> str:
     return f"{len(violations)} violation" + ("" if len(violations) == 1 else "s")
 
 
+def _print_stderr(line: str) -> None:
+    """Print one line to standard error; if it cannot be written, the line is
+    lost and the exit code still reports the outcome."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def _write_out(text: str, path: str | None) -> None:
     if path is None:
         print(text, end="")  # like every print, skipped when stdout is closed
@@ -140,15 +149,13 @@ def _cmd_generate(args) -> int:
         labeling = algorithmic_labeling(params)
     report = verify_odd_graceful(topology, labeling)
     if not report.is_odd_graceful:
-        print(
-            f"verification failed ({_count(report.violations)}):", file=sys.stderr
-        )
+        _print_stderr(f"verification failed ({_count(report.violations)}):")
         for violation in report.violations:
-            print(f"  - {violation.describe()}", file=sys.stderr)
+            _print_stderr(f"  - {violation.describe()}")
         if not args.force:
             return EXIT_INVALID
     if args.format == "json":
-        text = document_to_json(labeling_document(topology, labeling))
+        text = document_to_json(topology, labeling)
     elif args.format == "dot":
         text = to_dot(topology, labeling)
     else:
@@ -206,10 +213,7 @@ def _cmd_bench(args) -> int:
     if args.out is not None:
         for method in METHODS:
             slope, r_squared, _ = fit(samples, method)
-            print(
-                f"method={method} slope={slope:.4f} r_squared={r_squared:.4f}",
-                file=sys.stderr,
-            )
+            _print_stderr(f"method={method} slope={slope:.4f} r_squared={r_squared:.4f}")
     return EXIT_OK
 
 
@@ -224,24 +228,28 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        code = _HANDLERS[args.command](args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # after --help, whose text the flush below writes
+            code = exc.code
+        else:
+            code = _HANDLERS[args.command](args)
         print(end="", flush=True)  # a full or broken stdout fails here, not at exit
         return code
     except (UsageError, GraphSpecError, DocumentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_stderr(f"error: {exc}")
         return EXIT_USAGE
     except OSError as exc:  # the handlers map the errors of every file they open
-        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        _print_stderr(f"error: cannot write standard output: {exc}")
         if sys.stdout is sys.__stdout__:  # the unwritten buffer would fail again at exit
             with open(os.devnull, "w") as devnull:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())
         return EXIT_USAGE
     except OddGracefulError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_stderr(f"error: {exc}")
         return EXIT_INVALID
     except MemoryError:
-        print("error: input too large: out of memory", file=sys.stderr)
+        _print_stderr("error: input too large: out of memory")
         return EXIT_INVALID
 
 

@@ -6,9 +6,9 @@ v_1..v_n), edges likewise (cycle edges then path edges). Stored edge labels
 are derived data; verification always recomputes them from vertex labels, so
 a document with tampered vertex labels is judged on substance.
 
-``document_to_json`` renders a ``labeling_document`` (ints and vertex-id
-strings) to the bytes of ``json.dumps(document, indent=2)`` plus a newline:
-two-space indent, one field per line, non-ASCII escaped.
+``document_to_json`` writes a labeled topology's document, the bytes of
+``json.dumps(document, indent=2)`` plus a newline (two-space indent, one
+field per line, non-ASCII escaped); ``labeling_document`` is its parse.
 ``parse_labeling_document`` accepts any JSON layout and returns
 ``build_union_graph(m, n)`` for a union document. A union document that
 lists that topology entry for entry, with each edge's endpoints in its
@@ -29,21 +29,6 @@ from .verification import VerificationReport, edge_labels
 _VERTEX_ID = re.compile(r"[uvw][1-9][0-9]*")
 
 
-def labeling_document(topology: GraphTopology, labeling: Labeling) -> dict:
-    """Build the JSON-ready document for a labeled topology."""
-    names = topology.names
-    induced = edge_labels(topology, labeling)
-    return {
-        "graph": {"m": topology.m, "n": topology.n},
-        "q": topology.q,
-        "vertices": [{"id": name, "label": label} for name, label in zip(names, labeling)],
-        "edges": [
-            {"from": names[a], "to": names[b], "label": value}
-            for (a, b), value in zip(topology.edges, induced)
-        ],
-    }
-
-
 # json.dumps(document, indent=2), with a slot for each field value
 _HEADER = '{\n  "graph": {\n    "m": %d,\n    "n": %d\n  },\n  "q": %d,\n  "vertices": '
 _VERTEX = '    {\n      "id": %s,\n      "label": %d\n    }'
@@ -55,24 +40,29 @@ def _json_list(items: list[str]) -> str:
     return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
-def document_to_json(document: dict) -> str:
-    """The bytes of ``json.dumps(document, indent=2)`` plus a newline.
+def document_to_json(topology: GraphTopology, labeling: Labeling) -> str:
+    """The labeled topology's JSON document, with a trailing newline.
 
-    ``document`` is a :func:`labeling_document`: its keys and nesting, ints
-    in the size and label fields and strings in the vertex-id fields. Ints
-    are written with ``%d`` and strings with ``encode_basestring_ascii``,
-    the C function ``json.dumps`` uses, into fixed templates, because
-    ``json.dumps`` with an indent runs its pure-Python encoder on every
-    entry.
+    The bytes are those of ``json.dumps(document, indent=2)`` for the
+    document with the sizes, q, one ``{id, label}`` object per vertex and
+    one ``{from, to, label}`` object per edge. Ints are written with ``%d``
+    and names with ``encode_basestring_ascii``, the C function
+    ``json.dumps`` uses, into fixed templates, because ``json.dumps`` with
+    an indent runs its pure-Python encoder on every entry.
     """
-    graph = document["graph"]
-    header = _HEADER % (graph["m"], graph["n"], document["q"])
-    vertices = [_VERTEX % (_encode_str(v["id"]), v["label"]) for v in document["vertices"]]
+    names = [_encode_str(name) for name in topology.names]
+    induced = edge_labels(topology, labeling)
+    header = _HEADER % (topology.m, topology.n, topology.q)
+    vertices = [_VERTEX % entry for entry in zip(names, labeling)]
     edges = [
-        _EDGE % (_encode_str(e["from"]), _encode_str(e["to"]), e["label"])
-        for e in document["edges"]
+        _EDGE % (names[a], names[b], value) for (a, b), value in zip(topology.edges, induced)
     ]
     return header + _json_list(vertices) + ',\n  "edges": ' + _json_list(edges) + "\n}\n"
+
+
+def labeling_document(topology: GraphTopology, labeling: Labeling) -> dict:
+    """The parse of :func:`document_to_json`: the document ``generate`` writes."""
+    return json.loads(document_to_json(topology, labeling))
 
 
 def _want(mapping: dict, key: str, context: str):

@@ -13,7 +13,6 @@ from oddgraceful.construction import METHODS, force_params
 from oddgraceful.formats import (
     _canonical_union,
     document_to_json,
-    labeling_document,
     parse_labeling_document,
 )
 
@@ -25,7 +24,7 @@ CELLS = [(m, n) for m in range(4, 21, 2) for n in range(1, 31)] + [(8, 12000)]
 def test_generated_documents_take_the_canonical_parse(method):
     for m, n in CELLS:
         labeling = METHODS[method](force_params(m, n))
-        text = document_to_json(labeling_document(build_union_graph(m, n), labeling))
+        text = document_to_json(build_union_graph(m, n), labeling)
         canonical = _canonical_union(json.loads(text), m, n)
         assert canonical is not None, (m, n)
         assert canonical == parse_labeling_document(text), (m, n)

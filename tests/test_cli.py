@@ -25,9 +25,9 @@ def run_module(*argv, **kwargs):
     """Run ``python -m oddgraceful`` in a child process, its output captured."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("stderr", subprocess.PIPE)
     return subprocess.run(
         [sys.executable, "-m", "oddgraceful", *argv],
-        stderr=subprocess.PIPE,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=300,
@@ -360,7 +360,7 @@ class TestUsage:
 
 
 class FullStdout:
-    """A standard output on a full disk: ``write`` or ``flush`` fails."""
+    """A standard output (or error) on a full disk: ``write`` or ``flush`` fails."""
 
     def __init__(self, failing):
         self.failing = failing
@@ -415,6 +415,51 @@ class TestStandardOutput:
         finally:
             os.close(writer)
         assert (result.returncode, result.stderr) == (64, cannot_write(errno.EPIPE))
+
+    def test_help(self, capsys):
+        assert run(capsys, "--help") == (0, build_parser().format_help(), "")
+
+    def test_help_flush_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", FullStdout("flush"))
+        assert run(capsys, "--help")[::2] == (64, cannot_write(errno.ENOSPC))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_help_full_device(self):
+        with open("/dev/full", "w") as full:
+            result = run_module("--help", stdout=full)
+        assert (result.returncode, result.stderr) == (64, cannot_write(errno.ENOSPC))
+
+
+class TestStandardError:
+    """A standard error that cannot be written loses its lines, not the exit code."""
+
+    def test_spec_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stderr", FullStdout("write"))
+        assert run(capsys, "search", "--spec", "C4+x")[:2] == (64, "")
+
+    def test_forced_failing_generate(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(sys, "stderr", FullStdout("write"))
+        target = tmp_path / "labeling.json"
+        code, out, _ = run(
+            capsys, "generate", "--spec", "C10+P6", "--force", "--out", str(target)
+        )
+        assert (code, out) == (1, "")
+        assert json.loads(target.read_text())["graph"] == {"m": 10, "n": 6}
+
+    def test_bench_fit_lines(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(sys, "stderr", FullStdout("write"))
+        target = tmp_path / "bench.csv"
+        code, out, _ = run(
+            capsys, "bench", "--q-list", "50,100", "--reps", "1", "--out", str(target)
+        )
+        assert (code, out) == (0, "")
+        assert target.read_text().startswith("q,method,nanoseconds\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device(self):
+        with open("/dev/full", "w") as full:
+            result = run_module("search", "--spec", "C4+x", stderr=full)
+        assert (result.returncode, result.stdout) == (64, "")
 
 
 def subcommands(parser):

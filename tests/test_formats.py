@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from oddgraceful import (
     DocumentError,
+    GraphTopology,
     SearchStatus,
     algorithmic_labeling,
     build_union_graph,
@@ -23,8 +25,7 @@ from oddgraceful.formats import (
     to_dot,
 )
 from oddgraceful.graphspec import parse_graph_spec, topology_from_spec
-from test_fuzz import field_paths
-from test_golden import mutated
+from oddgraceful.verification import edge_labels
 
 GOLDEN_JSON = """\
 {
@@ -144,7 +145,7 @@ def c4p3():
 
 class TestGoldenOutputs:
     def test_json(self, c4p3):
-        assert document_to_json(labeling_document(*c4p3)) == GOLDEN_JSON
+        assert document_to_json(*c4p3) == GOLDEN_JSON
 
     def test_dot(self, c4p3):
         assert to_dot(*c4p3) == GOLDEN_DOT
@@ -155,31 +156,29 @@ class TestGoldenOutputs:
     def test_byte_identical_across_runs(self, c4p3):
         for render in (to_dot, to_csv):
             assert render(*c4p3) == render(*c4p3)
-        first = document_to_json(labeling_document(*c4p3))
-        second = document_to_json(labeling_document(*c4p3))
+        first = document_to_json(*c4p3)
+        second = document_to_json(*c4p3)
         assert first == second
 
 
-def json_dumps_outcome(render, document):
-    """The text a writer returns, or the ValueError it raises."""
-    try:
-        return render(document)
-    except ValueError as exc:
-        return repr(exc)
+def reference_document(topology, labeling):
+    """The document as one dict per vertex and per edge, built apart from
+    the writer, so that it can check the writer's bytes."""
+    names = topology.names
+    induced = edge_labels(topology, labeling)
+    return {
+        "graph": {"m": topology.m, "n": topology.n},
+        "q": topology.q,
+        "vertices": [{"id": name, "label": label} for name, label in zip(names, labeling)],
+        "edges": [
+            {"from": names[a], "to": names[b], "label": value}
+            for (a, b), value in zip(topology.edges, induced)
+        ],
+    }
 
 
-def reference_json(document):
-    return json.dumps(document, indent=2) + "\n"
-
-
-def paths_of_type(document, kind):
-    """Every key/index path to a field whose value is exactly of type ``kind``."""
-    for path in field_paths(document):
-        leaf = document
-        for key in path:
-            leaf = leaf[key]
-        if type(leaf) is kind:
-            yield path
+def with_item(values, index, value):
+    return values[:index] + (value,) + values[index + 1:]
 
 
 SEARCH_FOUND = ("C4+P2", "C6+P2", "C8+P3", "C8+P4", "C8+P5", "C10+P5", "C12+P4", "C4+C4")
@@ -196,52 +195,65 @@ SLOT_VALUES = {
 
 
 class TestJsonBytes:
-    """``document_to_json`` writes the bytes of ``json.dumps(document, indent=2)``."""
+    """``document_to_json`` writes the bytes of ``json.dumps(document, indent=2)``
+    for the reference document, and ``labeling_document`` parses to it."""
 
-    def assert_same_bytes(self, document):
-        assert json_dumps_outcome(document_to_json, document) == json_dumps_outcome(
-            reference_json, document
-        )
+    def assert_same_document(self, topology, labeling):
+        document = reference_document(topology, labeling)
+        try:
+            expected = json.dumps(document, indent=2) + "\n"
+        except ValueError as exc:
+            for writer in (document_to_json, labeling_document):
+                with pytest.raises(ValueError) as excinfo:
+                    writer(topology, labeling)
+                assert repr(excinfo.value) == repr(exc)
+            return
+        assert document_to_json(topology, labeling) == expected
+        assert labeling_document(topology, labeling) == document
 
     # C40+P10001 has q = 10,040
     @pytest.mark.parametrize("method", [closed_form_labeling, algorithmic_labeling])
     @pytest.mark.parametrize("m, n", [(4, 3), (6, 3), (8, 7), (12, 11), (40, 10_001)])
     def test_in_range_unions(self, method, m, n):
-        self.assert_same_bytes(
-            labeling_document(build_union_graph(m, n), method(validate_params(m, n)))
-        )
+        self.assert_same_document(build_union_graph(m, n), method(validate_params(m, n)))
 
     @pytest.mark.parametrize("method", [closed_form_labeling, algorithmic_labeling])
     @pytest.mark.parametrize("m, n", [(4, 1), (6, 2), (8, 3), (10, 6), (12, 1)])
     def test_forced_below_bound_unions(self, method, m, n):
-        self.assert_same_bytes(
-            labeling_document(build_union_graph(m, n), method(force_params(m, n)))
-        )
+        self.assert_same_document(build_union_graph(m, n), method(force_params(m, n)))
 
     @pytest.mark.parametrize("spec", SEARCH_FOUND)
     def test_search_certificates(self, spec):
         topology = topology_from_spec(parse_graph_spec(spec))
         outcome = exhaustive_search(topology)
         assert outcome.status is SearchStatus.FOUND
-        self.assert_same_bytes(labeling_document(topology, outcome.labeling))
+        self.assert_same_document(topology, outcome.labeling)
 
     @pytest.mark.parametrize("value", SLOT_VALUES.values(), ids=SLOT_VALUES.keys())
     def test_any_value_in_any_field(self, c4p3, value):
-        original = labeling_document(*c4p3)
-        paths = list(paths_of_type(original, type(value)))
-        # m, n, q and every label hold ints; every id, from and to a string
-        assert len(paths) == (2 + 1 + 7 + 6 if type(value) is int else 7 + 6 * 2)
-        for path in paths:
-            self.assert_same_bytes(mutated(original, path, value))
+        topology, labeling = c4p3
+        if type(value) is int:
+            # m, n and every label hold ints; q and edge labels follow from them
+            cases = [(replace(topology, **{size: value}), labeling) for size in ("m", "n")]
+            cases += [(topology, with_item(labeling, i, value)) for i in range(len(labeling))]
+        else:
+            # every id is a name, and so is every from and to
+            cases = [
+                (replace(topology, names=with_item(topology.names, i, value)), labeling)
+                for i in range(len(topology.names))
+            ]
+        assert len(cases) == (2 + 7 if type(value) is int else 7)
+        for case in cases:
+            self.assert_same_document(*case)
 
-    def test_empty_lists(self, c4p3):
-        self.assert_same_bytes({**labeling_document(*c4p3), "vertices": [], "edges": []})
+    def test_empty_lists(self):
+        self.assert_same_document(GraphTopology(names=(), edges=(), m=4, n=3), ())
 
 
 class TestRoundTrip:
     def test_json_round_trip(self, c4p3):
         topology, labeling = c4p3
-        text = document_to_json(labeling_document(topology, labeling))
+        text = document_to_json(topology, labeling)
         parsed_topology, parsed_labeling = parse_labeling_document(text)
         assert parsed_topology == topology
         assert parsed_labeling == labeling
@@ -251,7 +263,7 @@ class TestRoundTrip:
     def test_round_trip_across_instances(self, m, n):
         topology = build_union_graph(m, n)
         labeling = closed_form_labeling(validate_params(m, n))
-        text = document_to_json(labeling_document(topology, labeling))
+        text = document_to_json(topology, labeling)
         parsed_topology, parsed_labeling = parse_labeling_document(text)
         assert verify_odd_graceful(parsed_topology, parsed_labeling).is_odd_graceful
 
@@ -263,7 +275,7 @@ class TestRoundTrip:
         n = data.draw(st.integers(min_value=min_path_length(m), max_value=200))
         topology = build_union_graph(m, n)
         labeling = closed_form_labeling(validate_params(m, n))
-        text = document_to_json(labeling_document(topology, labeling))
+        text = document_to_json(topology, labeling)
         parsed_topology, parsed_labeling = parse_labeling_document(text)
         assert parsed_topology == topology
         assert verify_odd_graceful(parsed_topology, parsed_labeling).is_odd_graceful
@@ -271,7 +283,7 @@ class TestRoundTrip:
 
 class TestDocumentErrors:
     def test_truncated_json_reports_location(self, c4p3):
-        text = document_to_json(labeling_document(*c4p3))[:40]
+        text = document_to_json(*c4p3)[:40]
         with pytest.raises(DocumentError, match="line"):
             parse_labeling_document(text)
 
@@ -295,31 +307,31 @@ class TestDocumentErrors:
         doc = labeling_document(*c4p3)
         doc["q"] = 5
         with pytest.raises(DocumentError, match="q=5"):
-            parse_labeling_document(document_to_json(doc))
+            parse_labeling_document(json.dumps(doc, indent=2) + "\n")
 
     def test_duplicate_vertex_id(self, c4p3):
         doc = labeling_document(*c4p3)
         doc["vertices"][1]["id"] = "u1"
         with pytest.raises(DocumentError, match="duplicate vertex id"):
-            parse_labeling_document(document_to_json(doc))
+            parse_labeling_document(json.dumps(doc, indent=2) + "\n")
 
     def test_unknown_edge_endpoint(self, c4p3):
         doc = labeling_document(*c4p3)
         doc["edges"][0]["to"] = "v9"
         with pytest.raises(DocumentError, match="unknown vertex"):
-            parse_labeling_document(document_to_json(doc))
+            parse_labeling_document(json.dumps(doc, indent=2) + "\n")
 
     def test_self_loop(self, c4p3):
         doc = labeling_document(*c4p3)
         doc["edges"][0]["to"] = "u1"
         with pytest.raises(DocumentError, match="self-loop"):
-            parse_labeling_document(document_to_json(doc))
+            parse_labeling_document(json.dumps(doc, indent=2) + "\n")
 
     def test_negative_label(self, c4p3):
         doc = labeling_document(*c4p3)
         doc["vertices"][0]["label"] = -1
         with pytest.raises(DocumentError, match="non-negative"):
-            parse_labeling_document(document_to_json(doc))
+            parse_labeling_document(json.dumps(doc, indent=2) + "\n")
 
     def test_boolean_label_rejected(self, c4p3):
         doc = labeling_document(*c4p3)
@@ -331,13 +343,13 @@ class TestDocumentErrors:
         doc = labeling_document(*c4p3)
         doc["vertices"][0]["id"] = "z1"
         with pytest.raises(DocumentError, match="malformed vertex id"):
-            parse_labeling_document(document_to_json(doc))
+            parse_labeling_document(json.dumps(doc, indent=2) + "\n")
 
     def test_unknown_edge_endpoint_even_if_malformed(self, c4p3):
         doc = labeling_document(*c4p3)
         doc["edges"][0]["to"] = "z1"
         with pytest.raises(DocumentError, match="unknown vertex"):
-            parse_labeling_document(document_to_json(doc))
+            parse_labeling_document(json.dumps(doc, indent=2) + "\n")
 
     @pytest.mark.parametrize(
         "where, index, entry, error",
@@ -385,9 +397,9 @@ class TestDocumentErrors:
             "edges": [{"from": "u1", "to": "v1", "label": 1}],
         }
         with pytest.raises(DocumentError, match=f"m={graph['m']}"):
-            parse_labeling_document(document_to_json(doc))
+            parse_labeling_document(json.dumps(doc, indent=2) + "\n")
         doc["graph"] = {"m": 0, "n": 0}
-        topology, labeling = parse_labeling_document(document_to_json(doc))
+        topology, labeling = parse_labeling_document(json.dumps(doc, indent=2) + "\n")
         assert verify_odd_graceful(topology, labeling).is_odd_graceful
 
     def test_stored_edge_labels_are_ignored(self, c4p3):
@@ -395,7 +407,7 @@ class TestDocumentErrors:
         # change the verdict, only vertex labels matter
         doc = labeling_document(*c4p3)
         doc["edges"][0]["label"] = 999
-        topology, labeling = parse_labeling_document(document_to_json(doc))
+        topology, labeling = parse_labeling_document(json.dumps(doc, indent=2) + "\n")
         assert verify_odd_graceful(topology, labeling).is_odd_graceful
 
 
