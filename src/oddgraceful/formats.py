@@ -10,11 +10,10 @@ a document with tampered vertex labels is judged on substance.
 ``json.dumps(document, indent=2)`` plus a newline (two-space indent, one
 field per line, non-ASCII escaped); ``labeling_document`` is its parse.
 ``parse_labeling_document`` accepts any JSON layout and returns
-``build_union_graph(m, n)`` for a union document. A union document that
-lists that topology entry for entry, with each edge's endpoints in its
-order, is accepted from one list per field. Any other document goes
-through the per-entry checks, which report its first failed check. Output
-is byte-identical across runs for identical inputs.
+``build_union_graph(m, n)`` for a union document. It reads the bytes
+``generate`` writes by writing them again; any other text goes through the
+per-entry checks, which report its first failed check. Output is
+byte-identical across runs for identical inputs.
 """
 
 from __future__ import annotations
@@ -78,33 +77,41 @@ def _want_int(value, context: str) -> int:
     return value
 
 
-def _canonical_union(raw: dict, m: int, n: int) -> tuple[GraphTopology, Labeling] | None:
-    """The parse, from one list per field, of a document that lists
-    ``build_union_graph(m, n)`` entry for entry in its order; else None."""
-    try:
-        vertices, edges, q = raw["vertices"], raw["edges"], raw["q"]
-        if len(vertices) != m + n or type(q) is not int or q != len(edges):
-            return None
-        ids = [entry["id"] for entry in vertices]
-        labels = [entry["label"] for entry in vertices]
-        sources = [entry["from"] for entry in edges]
-        targets = [entry["to"] for entry in edges]
-    except (KeyError, TypeError):
+def _want_id(value, context: str) -> str:
+    if not isinstance(value, str):
+        raise DocumentError(f"{context}: expected a vertex id string, got {value!r}")
+    return value
+
+
+def _want_list(value, key: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise DocumentError(f"document needs a non-empty {key!r} list")
+    return value
+
+
+# what document_to_json writes for a union's sizes, and each vertex's label line
+_WRITTEN_SIZES = re.compile(
+    r'\{\n  "graph": \{\n    "m": ([1-9][0-9]*),\n    "n": ([1-9][0-9]*)\n'
+)
+_WRITTEN_LABEL = re.compile(r'\n      "label": ([0-9]+)\n')
+
+
+def _written_union(text: str) -> tuple[GraphTopology, Labeling] | None:
+    """The parse of ``text`` if it is byte for byte what
+    ``document_to_json(build_union_graph(m, n), labels)`` writes; else None."""
+    sizes = _WRITTEN_SIZES.match(text)
+    edges_at = text.find('\n  "edges": ')
+    if sizes is None or edges_at < 0:
         return None
     try:
-        union = build_union_graph(m, n)
-    except OddGracefulError:
+        # int() refuses a number past the interpreter's digit limit
+        m, n = map(int, sizes.groups())
+        labels = tuple(map(int, _WRITTEN_LABEL.findall(text, sizes.end(), edges_at)))
+        # the label count bounds m + n by the size of the text before the build
+        union = len(labels) == m + n and build_union_graph(m, n)
+    except (ValueError, OddGracefulError):
         return None
-    names = union.names
-    if (
-        ids != list(names)
-        or set(map(type, labels)) != {int}
-        or min(labels) < 0
-        or sources != [names[a] for a, _ in union.edges]
-        or targets != [names[b] for _, b in union.edges]
-    ):
-        return None
-    return union, tuple(labels)
+    return (union, labels) if union and document_to_json(union, labels) == text else None
 
 
 def parse_labeling_document(text: str) -> tuple[GraphTopology, Labeling]:
@@ -112,8 +119,13 @@ def parse_labeling_document(text: str) -> tuple[GraphTopology, Labeling]:
 
     Vertices keep their listed order. A document that names a union graph
     (``graph.m`` or ``graph.n`` non-zero) must list exactly the topology of
-    ``C_m + P_n``, and that topology is the one returned.
+    ``C_m + P_n``, and that topology is the one returned. The bytes that
+    ``generate`` writes are read by writing them again; any other text is
+    parsed as JSON and each entry is checked in turn.
     """
+    written = _written_union(text)
+    if written is not None:
+        return written
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -133,60 +145,35 @@ def parse_labeling_document(text: str) -> tuple[GraphTopology, Labeling]:
     n = _want_int(_want(graph, "n", "graph"), "graph.n")
     if m < 0 or n < 0:
         raise DocumentError(f"graph sizes must be non-negative, got m={m}, n={n}")
-    parsed = (m or n) and _canonical_union(raw, m, n)
-    if parsed:
-        return parsed
 
-    # json.loads makes every object a dict, every string a str, and every
-    # number without a fraction an int (true and false are bools, not ints)
-    raw_vertices = _want(raw, "vertices", "document")
-    if not isinstance(raw_vertices, list) or not raw_vertices:
-        raise DocumentError("document needs a non-empty 'vertices' list")
     position: dict[str, int] = {}
     labels: list[int] = []
-    for index, entry in enumerate(raw_vertices):
-        if type(entry) is not dict or "id" not in entry:
-            raise DocumentError(f"vertices[{index}]: missing 'id'")
-        name = entry["id"]
-        if type(name) is not str:
-            raise DocumentError(f"vertices[{index}]: expected a vertex id string, got {name!r}")
+    for index, entry in enumerate(_want_list(_want(raw, "vertices", "document"), "vertices")):
+        at = f"vertices[{index}]"
+        name = _want_id(_want(entry, "id", at), at)
         if not _VERTEX_ID.fullmatch(name):
-            raise DocumentError(f"vertices[{index}]: malformed vertex id {name!r}")
-        if "label" not in entry:
-            raise DocumentError(f"vertices[{index}]: missing 'label'")
-        label = entry["label"]
-        if type(label) is not int:
-            raise DocumentError(f"vertices[{index}].label: expected an integer, got {label!r}")
+            raise DocumentError(f"{at}: malformed vertex id {name!r}")
+        label = _want_int(_want(entry, "label", at), f"{at}.label")
         if label < 0:
-            raise DocumentError(f"vertices[{index}]: label must be non-negative, got {label}")
+            raise DocumentError(f"{at}: label must be non-negative, got {label}")
         if name in position:
-            raise DocumentError(f"vertices[{index}]: duplicate vertex id {name}")
+            raise DocumentError(f"{at}: duplicate vertex id {name}")
         position[name] = index
         labels.append(label)
 
-    raw_edges = _want(raw, "edges", "document")
-    if not isinstance(raw_edges, list) or not raw_edges:
-        raise DocumentError("document needs a non-empty 'edges' list")
     edges: dict[tuple[int, int], None] = {}
-    for index, entry in enumerate(raw_edges):
-        if type(entry) is not dict or "from" not in entry:
-            raise DocumentError(f"edges[{index}]: missing 'from'")
-        a = entry["from"]
-        if type(a) is not str:
-            raise DocumentError(f"edges[{index}]: expected a vertex id string, got {a!r}")
-        if "to" not in entry:
-            raise DocumentError(f"edges[{index}]: missing 'to'")
-        b = entry["to"]
-        if type(b) is not str:
-            raise DocumentError(f"edges[{index}]: expected a vertex id string, got {b!r}")
+    for index, entry in enumerate(_want_list(_want(raw, "edges", "document"), "edges")):
+        at = f"edges[{index}]"
+        a = _want_id(_want(entry, "from", at), at)
+        b = _want_id(_want(entry, "to", at), at)
         if a == b:
-            raise DocumentError(f"edges[{index}]: self-loop at {a}")
+            raise DocumentError(f"{at}: self-loop at {a}")
         i, j = position.get(a), position.get(b)
         if i is None or j is None:
-            raise DocumentError(f"edges[{index}]: edge references an unknown vertex")
+            raise DocumentError(f"{at}: edge references an unknown vertex")
         key = (i, j) if i < j else (j, i)
         if key in edges:
-            raise DocumentError(f"edges[{index}]: duplicate edge {a}-{b}")
+            raise DocumentError(f"{at}: duplicate edge {a}-{b}")
         edges[key] = None
 
     q = _want_int(_want(raw, "q", "document"), "q")

@@ -1,11 +1,14 @@
 """Fuzzed inputs: each parser raises only its own error class, a spec's
 terms parse back from their text, ``verify`` ends every document in exit code
-0, 1 or 64, and the verifier's pass check agrees with its itemizing checks."""
+0, 1 or 64, a one-character edit of ``generate``'s bytes parses as it does
+through the per-entry walk alone, and the verifier's pass check agrees with
+its itemizing checks."""
 
 import contextlib
 import copy
 import io
 import json
+from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -14,10 +17,11 @@ from oddgraceful import (
     GraphSpecError,
     build_union_graph,
     closed_form_labeling,
+    formats,
     validate_params,
 )
 from oddgraceful.cli import main
-from oddgraceful.formats import labeling_document, parse_labeling_document
+from oddgraceful.formats import document_to_json, labeling_document, parse_labeling_document
 from oddgraceful.graphs import build_free_graph
 from oddgraceful.graphspec import parse_edge_list, parse_graph_spec
 from oddgraceful.verification import _violations, edge_labels, verify_odd_graceful
@@ -145,3 +149,35 @@ def test_pass_check_agrees_with_itemizing(case):
     report = verify_odd_graceful(topology, labeling)
     violations = _violations(topology, labeling, edge_labels(topology, labeling))
     assert report.is_odd_graceful == (not violations)
+
+
+WRITTEN = [
+    document_to_json(build_union_graph(m, n), closed_form_labeling(validate_params(m, n)))
+    for m, n in ((4, 3), (8, 7))
+]
+
+
+@st.composite
+def edited_written_documents(draw):
+    """A document ``generate`` wrote, with one character substituted,
+    deleted or inserted at a drawn offset."""
+    text = draw(st.sampled_from(WRITTEN))
+    at = draw(st.integers(0, len(text)))
+    char = draw(st.sampled_from('0123456789-"{}[],: \nuv') | st.characters())
+    edit = draw(st.sampled_from(["substitute", "delete", "insert"]))
+    rest = text[at:] if edit == "insert" else text[at + 1 :]
+    return text[:at] + ("" if edit == "delete" else char) + rest
+
+
+def parse_outcome(text):
+    try:
+        return parse_labeling_document(text)
+    except DocumentError as exc:
+        return f"error: {exc}"
+
+
+@given(edited_written_documents())
+def test_edited_written_documents_parse_as_in_the_walk(text):
+    outcome = parse_outcome(text)
+    with mock.patch.object(formats, "_written_union", lambda text: None):
+        assert parse_outcome(text) == outcome
