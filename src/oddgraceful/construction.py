@@ -1,12 +1,15 @@
 """Two independent routes to an odd graceful labeling of C_m + P_n.
 
-Throughout, q = m + n - 1 is the edge count and k = m / 2. The construction
+Throughout, q = m + n - 1 is the edge count and k = m / 2. The cycle
 alternates: odd cycle positions take the small even values 0, 2, 4, ...,
 even cycle positions take the largest odd values 2q-1, 2q-3, ..., and the
 last cycle vertex u_m takes the exceptional value 2q - 2m + 3. That exception
 frees the odd values below 2q - 2m + 3 for the path edges, except one: the
 value 2q - 3m + 5 is already realized inside the cycle (on the edge
-u_{m-1}u_m), so the path edge sequence must jump over it.
+u_{m-1}u_m). The path is one zigzag between small odd and large even labels,
+whose edge labels fall by 2 from 2q - 2m + 1, plus one step: from v_k on,
+every vertex of k's parity moves 2 further along its family, so the edge
+labels jump over 2q - 3m + 5.
 
 ``closed_form_labeling`` evaluates per-index formulas; ``algorithmic_labeling``
 streams the same labels the way a single traversal would, seeded by the two
@@ -44,12 +47,15 @@ class ConstructionParams:
 
 
 def min_path_length(m: int) -> int:
-    """Smallest n for which this construction stays injective at cycle length m.
+    """Smallest n from which the construction works for every n at cycle length m.
 
     The even path labels descend toward the even cycle labels; requiring the
     smallest of the former to clear m - 2 (the largest of the latter) gives
-    n >= m - 1 when k is even and n >= m - 3 when k is odd. Below it the
-    construction fails, but the graph may still be odd graceful.
+    n >= m - 1 when k is even and n >= m - 3 when k is odd. Below the bound,
+    C4+P1 and C6+P1 still verify. Every other n = 1 cell fails in the cycle
+    alone: the edge u_{m-1}u_m repeats label m - 5. For n >= 2 an even path
+    label collides with an even cycle label. The graph may still be odd
+    graceful below the bound.
     """
     return m - 1 if (m // 2) % 2 == 0 else m - 3
 
@@ -100,44 +106,29 @@ def label_cycle_vertices(params: ConstructionParams) -> Labeling:
     u_m is the exception at 2q - 2m + 3.
     """
     q, m = params.q, params.m
-    labels: list[int] = []
-    for i in range(1, m + 1):
-        if i == m:
-            value = 2 * q - 2 * m + 3
-        elif i % 2:
-            value = i - 1
-        else:
-            value = 2 * q - (i - 1)
-        labels.append(value)
+    labels = [i - 1 if i % 2 else 2 * q + 1 - i for i in range(1, m)]
+    labels.append(2 * q - 2 * m + 3)
     return tuple(labels)
 
 
 def label_path_vertices(params: ConstructionParams) -> Labeling:
-    """Closed-form labels for v_1..v_n; the formulas split on the parity of k.
+    """Closed-form labels for v_1..v_n: one zigzag plus one step.
 
-    Odd positions carry small odd labels ascending from 1, even positions
-    carry large even labels descending from 2q - 2m + 2. One of the two
-    families takes a single extra step (which one depends on k's parity), so
-    the induced path edge labels miss exactly the odd value already spent on
-    the cycle edge u_{m-1}u_m.
+    The zigzag gives odd positions i and even positions 2q - 2m + 4 - i, so
+    its edge labels fall by 2 from 2q - 2m + 1 to 3. The step: from v_k on,
+    every vertex of k's parity takes the zigzag label two places further
+    along (2 more at an odd position, 2 less at an even one). Each edge from
+    v_{k-1} on then has one end moved 2 toward the other, so the edge labels
+    skip 2q - 3m + 5, the label of the cycle edge u_{m-1}u_m, and end at 1.
     """
     q, m, n, k = params.q, params.m, params.n, params.k
-    labels: list[int] = []
-    if k % 2:
-        for i in range(1, n + 1):
-            if i % 2:
-                labels.append(i if i <= k - 2 else i + 2)
-            else:
-                labels.append(2 * q - 2 * m - (i - 4))
-    else:
-        for i in range(1, n + 1):
-            if i % 2:
-                labels.append(i)
-            elif i <= k - 2:
-                labels.append(2 * q - 2 * m + 4 - i)
-            else:
-                labels.append(2 * q - 2 * m + 2 - i)
-    return tuple(labels)
+    top = 2 * q - 2 * m + 4
+    # the zigzag for v_1..v_{n+2}; the last two feed the step
+    zigzag = [0] * (n + 2)
+    zigzag[::2] = range(1, n + 3, 2)
+    zigzag[1::2] = range(top - 2, top - n - 3, -2)
+    zigzag[k - 1 : n : 2] = zigzag[k + 1 :: 2]
+    return tuple(zigzag[:n])
 
 
 def closed_form_labeling(params: ConstructionParams) -> Labeling:
@@ -177,15 +168,14 @@ def path_pass(params: ConstructionParams, markers: Markers) -> tuple[Labeling, t
     """
     labels = [1]
     edge_values: list[int] = []
-    # auxiliary edge value ahead of the first real path edge
-    previous = markers.active_vertex_label
+    # starts at the auxiliary edge value ahead of the first real path edge
+    value = markers.active_vertex_label
     for j in range(1, params.n):
-        value = previous - 2
+        value -= 2
         if value == markers.double_jump_edge_label:
             value -= 2
         labels.append(labels[-1] + value if j % 2 else labels[-1] - value)
         edge_values.append(value)
-        previous = value
     return tuple(labels), tuple(edge_values)
 
 

@@ -63,6 +63,20 @@ class TestGenerate:
         document = json.loads(out)
         assert document["graph"] == {"m": 10, "n": 6}
 
+    def test_force_below_the_bound_can_verify(self, capsys, tmp_path):
+        # C4+P1 lies below the bound, yet the construction labels it
+        code, out, err = run(capsys, "generate", "--spec", "C4+P1")
+        assert code == 1
+        assert out == ""
+        assert "need n >= 3" in err
+        code, out, err = run(capsys, "generate", "--spec", "C4+P1", "--force")
+        assert (code, err) == (0, "")
+        target = tmp_path / "c4p1.json"
+        target.write_text(out)
+        code, out, _ = run(capsys, "verify", "--input", str(target))
+        assert code == 0
+        assert out.startswith("odd graceful: yes")
+
     def test_two_cycles_is_usage_error(self, capsys):
         code, _, err = run(capsys, "generate", "--spec", "C4+C4")
         assert code == 64

@@ -20,7 +20,7 @@ from oddgraceful.construction import (
     min_path_length,
     path_pass,
 )
-from oddgraceful.verification import edge_labels
+from oddgraceful.verification import DuplicateEdgeLabel, DuplicateVertexLabel, edge_labels
 
 
 def cycle_values(params):
@@ -36,6 +36,13 @@ def valid_mn(draw):
     m = 2 * draw(st.integers(min_value=2, max_value=20))
     n = draw(st.integers(min_value=min_path_length(m), max_value=200))
     return m, n
+
+
+def below_bound_cells(max_m):
+    """Every (m, n) with even m <= max_m and 1 <= n < min_path_length(m)."""
+    for m in range(4, max_m + 1, 2):
+        for n in range(1, min_path_length(m)):
+            yield m, n
 
 
 class TestValidateParams:
@@ -185,6 +192,13 @@ class TestPasses:
             vertex_labels, _ = path_pass(params, init_markers(params))
             assert vertex_labels == label_path_vertices(params)
 
+    def test_passes_match_closed_form_below_the_bound(self):
+        for m, n in below_bound_cells(40):
+            params = force_params(m, n)
+            markers = init_markers(params)
+            assert cycle_pass(params, markers)[0] == label_cycle_vertices(params), (m, n)
+            assert path_pass(params, markers)[0] == label_path_vertices(params), (m, n)
+
 
 class TestRouteEquivalence:
     @pytest.mark.parametrize("m, n", [(4, 3), (10, 7)])
@@ -204,6 +218,37 @@ class TestRouteEquivalence:
         topology = build_union_graph(m, n)
         report = verify_odd_graceful(topology, closed_form_labeling(params))
         assert report.is_odd_graceful, report.violations
+
+    def test_equivalence_below_the_bound(self):
+        for m, n in below_bound_cells(40):
+            params = force_params(m, n)
+            assert algorithmic_labeling(params) == closed_form_labeling(params), (m, n)
+
+
+class TestBelowTheBound:
+    def test_how_each_cell_fails(self):
+        for m, n in below_bound_cells(80):
+            topology = build_union_graph(m, n)
+            report = verify_odd_graceful(topology, closed_form_labeling(force_params(m, n)))
+            assert report.is_odd_graceful == ((m, n) in {(4, 1), (6, 1)}), (m, n)
+            if report.is_odd_graceful:
+                continue
+            if n == 1:
+                # the cycle alone: u_{m-1}u_m repeats an edge label
+                assert any(
+                    isinstance(v, DuplicateEdgeLabel)
+                    and v.label == m - 5
+                    and (f"u{m - 1}", f"u{m}") in v.edges
+                    for v in report.violations
+                ), (m, n)
+            else:
+                # an even path label lands on an even cycle label
+                assert any(
+                    isinstance(v, DuplicateVertexLabel)
+                    and v.label % 2 == 0
+                    and {name[0] for name in v.vertices} == {"u", "v"}
+                    for v in report.violations
+                ), (m, n)
 
 
 class TestStructuralProperties:
