@@ -188,6 +188,8 @@ def _cmd_search(args) -> int:
     print(f"status: {outcome.status.value}")
     print(f"nodes expanded: {outcome.stats.nodes_expanded}")
     print(f"assignments tried: {outcome.stats.assignments_tried}")
+    if outcome.stats.proof is not None:
+        print(f"proof: {outcome.stats.proof}")
     if outcome.labeling is not None:
         print("certificate (verifier-checked):")
         for name, label in zip(topology.names, outcome.labeling):

@@ -18,23 +18,33 @@ the recursion limit. Once every difference is induced, every edge is done,
 and isolated vertices take the lowest free labels. A graph with more
 vertices than 2q labels has no labeling and ends at once.
 
+Every edge difference is odd, so the ends of an edge have labels of opposite
+parity: label parity 2-colours the graph (Gnanajothi's reason that C_m is odd
+graceful only for even m). A graph with an odd cycle therefore has no
+labeling, and the search proves it before the first node. Otherwise, within
+a connected component one side takes only even labels and the other only
+odd ones, and the component's first label fixes which.
+
 Two symmetries cut the first level. Solutions come in complement pairs (f
 and 2q-1-f), which swap the orientation of the edge carrying 2q-1, so only
-one orientation of that edge is tried. Below the root no symmetry is left to
-pair the two orientations of an edge, so both are tried: a renumbered
-C10+P3+P5 is found in 45 nodes with them and in 21,677,634 without. And 2q-1
-goes only on ``root_edges``: the lowest-numbered edge of each orbit under
-the automorphisms known from the topology alone, the rotations and
-reflections of a cycle component, the reversal of a path component and the
-swaps of equal cycle or path components. If an automorphism s maps edge e to
-r and f is odd graceful with 2q-1 on e, then f composed with s^-1 is odd
-graceful with 2q-1 on r, so no verdict is lost; its complement keeps 2q-1 on
-r, so the two cuts hold together. A cycle's edges are one orbit, so C_m
-searches one edge in m.
+one orientation of that edge is tried. Below the root both orientations of a
+pair edge are tried only when the edge opens a component with no label yet:
+no symmetry is left to pair them, and a renumbered C10+P3+P5 is found in 45
+nodes with them and in 21,677,634 without. In a component that already has a
+label, parity leaves each x one orientation. And 2q-1 goes only on
+``root_edges``: the lowest-numbered edge of each orbit under the
+automorphisms known from the topology alone, the rotations and reflections
+of a cycle component, the reversal of a path component and the swaps of
+equal cycle or path components. If an automorphism s maps edge e to r and f
+is odd graceful with 2q-1 on e, then f composed with s^-1 is odd graceful
+with 2q-1 on r, so no verdict is lost; its complement keeps 2q-1 on r, so
+the two cuts hold together. A cycle's edges are one orbit, so C_m searches
+one edge in m.
 
-Exhaustion cost still grows exponentially with q: C9 takes 3,233 nodes,
-C11 109,447 (about 1 s) and C13 5,346,249 (about 40 s). A larger graph runs
-until a labeling is found or the budget runs out.
+Odd cycles (C3, C5, ..., C13 and beyond) are proven at 0 nodes. Search cost
+still grows exponentially with q: C24+P5 is found in 99,387 nodes (352,066
+tries, about 0.5 s) and C26+P5 in 1,256,083 (5,675,273 tries, about 6 s). A
+larger graph runs until a labeling is found or the budget runs out.
 """
 
 from __future__ import annotations
@@ -73,10 +83,13 @@ class SearchStats:
 
     nodes_expanded: placements that passed their check, one per partial labeling reached.
     assignments_tried: placements attempted, failed ones included.
+    proof: why no labeling exists when that was shown before the first node,
+        "odd cycle" or "more vertices than labels"; otherwise None.
     """
 
     nodes_expanded: int
     assignments_tried: int
+    proof: str | None = None
 
 
 @dataclass(frozen=True)
@@ -131,6 +144,30 @@ def root_edges(topology: GraphTopology) -> int:
     return sum(1 << i for i in first.values())
 
 
+def two_colouring(neighbors: list[list[int]]) -> tuple[list[int], list[int]] | None:
+    """Each vertex's side (0 or 1) and component number, or None when an
+    edge joins two vertices of one side: the graph has an odd cycle. Found
+    in O(V + E) with an explicit stack.
+    """
+    side = [-1] * len(neighbors)
+    component = [0] * len(neighbors)
+    k = 0
+    for start in range(len(neighbors)):
+        if side[start] >= 0:
+            continue
+        side[start], component[start], stack = 0, k, [start]
+        while stack:
+            v = stack.pop()
+            for w in neighbors[v]:
+                if side[w] < 0:
+                    side[w], component[w] = side[v] ^ 1, k
+                    stack.append(w)
+                elif side[w] == side[v]:
+                    return None
+        k += 1
+    return side, component
+
+
 def exhaustive_search(
     topology: GraphTopology,
     budget: SearchBudget | None = None,
@@ -139,7 +176,8 @@ def exhaustive_search(
 
     Returns FOUND with the first certificate in difference-first order
     (re-checked by the verifier before being returned), EXHAUSTED_NONE once
-    the full symmetry-reduced space is explored, or BUDGET_EXHAUSTED.
+    the full symmetry-reduced space is explored or ``stats.proof`` rules out
+    every labeling before the first node, or BUDGET_EXHAUSTED.
     Identical inputs always produce identical outcomes and statistics.
     """
     budget = budget or SearchBudget()
@@ -150,7 +188,8 @@ def exhaustive_search(
     edges = topology.edges
     label = [-1] * len(topology.names)
     if len(label) > two_q:  # not enough distinct labels
-        return SearchOutcome(SearchStatus.EXHAUSTED_NONE, None, SearchStats(0, 0))
+        stats = SearchStats(0, 0, "more vertices than labels")
+        return SearchOutcome(SearchStatus.EXHAUSTED_NONE, None, stats)
     neighbors: list[list[int]] = [[] for _ in label]
     incident = [0] * len(label)  # bit i per edge i at the vertex
     for i, (a, b) in enumerate(edges):
@@ -158,7 +197,15 @@ def exhaustive_search(
         neighbors[b].append(a)
         incident[a] |= 1 << i
         incident[b] |= 1 << i
+    colouring = two_colouring(neighbors)
+    if colouring is None:  # every difference is odd, so labels alternate parity
+        return SearchOutcome(SearchStatus.EXHAUSTED_NONE, None, SearchStats(0, 0, "odd cycle"))
+    side, component = colouring
+    # per component: its labelled vertices, and the label parity of its side 0
+    count = [0] * (max(component) + 1)
+    parity = [0] * len(count)
     odd = int("10" * q, 2)  # bit d for every odd d < 2q: all differences induced
+    evens = odd >> 1  # bit x for every even x < 2q
     # free: unused labels; used: bit d per induced difference d; undone: bit i
     # per edge with an unlabelled end; touched: the edges at labelled vertices
     free, used, undone, touched = (1 << two_q) - 1, 0, (1 << q) - 1, 0
@@ -188,6 +235,7 @@ def exhaustive_search(
                 for v in edges[e]:
                     if free >> label[v] & 1:  # labelled at that level
                         label[v] = -1
+                        count[component[v]] -= 1
                 continue
             e += (rest & -rest).bit_length()
             a, b = edges[e]
@@ -196,7 +244,11 @@ def exhaustive_search(
                 mask = free & (1 << c + d_top | (1 << c - d_top if c >= d_top else 0))
             else:
                 mask = free & (free >> d_top)
-                if stack:  # complement symmetry: one orientation at the root
+                k = component[a]
+                if count[k]:  # parity fixes the orientation of each x
+                    keep = evens if parity[k] == side[a] else ~evens
+                    mask = mask & keep | (mask & ~keep) << two_q
+                elif stack:  # complement symmetry: one orientation at the root
                     mask |= mask << two_q
             continue
         bit = mask & -mask
@@ -237,6 +289,10 @@ def exhaustive_search(
                 free ^= 1 << value
                 undone &= ~(incident[v] & touched)
                 touched |= incident[v]
+                k = component[v]
+                if not count[k]:
+                    parity[k] = value & 1 ^ side[v]
+                count[k] += 1
             used = new
             if used == odd:
                 status = SearchStatus.FOUND

@@ -226,7 +226,7 @@ class TestSearch:
         assert code == 0
 
     def test_budget_exhausted_exit_code(self, capsys):
-        code, out, _ = run(capsys, "search", "--spec", "C5", "--max-nodes", "5")
+        code, out, _ = run(capsys, "search", "--spec", "C24+P5", "--max-nodes", "5")
         assert code == 3
         assert "status: budget-exhausted" in out
 

@@ -87,8 +87,9 @@ certificate (verifier-checked):
 """),
     "C7": (2, """\
 status: exhausted-none
-nodes expanded: 147
-assignments tried: 499
+nodes expanded: 0
+assignments tried: 0
+proof: odd cycle
 """),
     "C4+C4": (0, """\
 status: found

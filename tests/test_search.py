@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from bruteforce import brute_force_has_labeling
@@ -8,7 +10,7 @@ from oddgraceful import (
     exhaustive_search,
     verify_odd_graceful,
 )
-from oddgraceful.graphs import build_free_graph
+from oddgraceful.graphs import GraphTopology, build_free_graph
 from oddgraceful.graphspec import parse_graph_spec, topology_from_spec
 from oddgraceful.search import root_edges
 from reference_search import assignment_order, reference_search
@@ -61,6 +63,32 @@ class TestOutcomes:
             outcome = exhaustive_search(topology)
             assert outcome.status is SearchStatus.FOUND, name
             assert verify_odd_graceful(topology, outcome.labeling).is_odd_graceful
+
+
+class TestProof:
+    def test_odd_cycle_proof_exactly_when_not_bipartite(self):
+        # every graph on 2..5 vertices, isolated vertices included
+        for size in range(2, 6):
+            pairs = list(itertools.combinations(range(size), 2))
+            for chosen in range(1, 1 << len(pairs)):
+                edges = tuple(pair for i, pair in enumerate(pairs) if chosen >> i & 1)
+                names = tuple(f"w{v}" for v in range(size))
+                topology = GraphTopology(names=names, edges=edges, m=0, n=0)
+                bipartite = any(
+                    all((sides >> a ^ sides >> b) & 1 for a, b in edges)
+                    for sides in range(1 << size)
+                )
+                if not bipartite:
+                    expected = "odd cycle"
+                elif size > 2 * len(edges):
+                    expected = "more vertices than labels"
+                else:
+                    expected = None
+                outcome = exhaustive_search(topology)
+                assert outcome.stats.proof == expected, edges
+                if expected is not None:
+                    assert outcome.status is SearchStatus.EXHAUSTED_NONE
+                    assert outcome.stats.nodes_expanded == outcome.stats.assignments_tried == 0
 
 
 class TestAgainstBruteForce:
@@ -187,8 +215,8 @@ class TestRootOrbits:
 
 class TestBudget:
     def test_node_cap_reports_budget_exhausted(self):
-        c7 = build_free_graph(cycle_edges(7))  # exhausts in 147 nodes
-        outcome = exhaustive_search(c7, SearchBudget(max_nodes=10))
+        topology = build_union_graph(24, 5)  # found in 99,387 nodes
+        outcome = exhaustive_search(topology, SearchBudget(max_nodes=10))
         assert outcome.status is SearchStatus.BUDGET_EXHAUSTED
         assert outcome.labeling is None
         assert outcome.stats.nodes_expanded == 11  # the node that crossed the cap
@@ -198,7 +226,7 @@ class TestBudget:
         assert outcome.status is SearchStatus.EXHAUSTED_NONE
 
     def test_time_limit(self):
-        topology = build_free_graph(cycle_edges(11))  # exhausts in about 1 s
+        topology = build_union_graph(24, 5)  # found in about 0.5 s
         outcome = exhaustive_search(topology, SearchBudget(time_limit_ms=1))
         assert outcome.status is SearchStatus.BUDGET_EXHAUSTED
 

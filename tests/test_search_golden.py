@@ -1,6 +1,7 @@
 """Golden search outcomes: the exact status, statistics and certificate of
 the search oracle, and the exact vertex order of the reference search.
-The unpruned reference search must reach each pinned status as well.
+The unpruned reference search must reach each pinned status as well,
+except in ``DEEP``, which it cannot reach in a test's time.
 
 The expected values are fixed records. Any change to the order in which
 differences, edges or labels are tried, to the node and attempt counts, or
@@ -28,20 +29,20 @@ def record(outcome):
 
 # graph -> (status, nodes expanded, assignments tried, labeling)
 SMALL = {
-    "C3": ("exhausted-none", 1, 3, None),
+    "C3": ("exhausted-none", 0, 0, None),
     "C4": ("found", 3, 4, (0, 7, 2, 3)),
-    "C5": ("exhausted-none", 9, 29, None),
+    "C5": ("exhausted-none", 0, 0, None),
     "P4": ("found", 3, 3, (0, 5, 2, 1)),
     "P6": ("found", 5, 5, (0, 9, 2, 7, 4, 3)),
     "star4": ("found", 4, 4, (0, 7, 5, 3, 1)),
-    "triangle+pendant": ("exhausted-none", 8, 26, None),
+    "triangle+pendant": ("exhausted-none", 0, 0, None),
 }
 
 # the benchmark's search suite
 SUITE = {
-    "C7": ("exhausted-none", 147, 499, None),
-    "C9": ("exhausted-none", 3233, 14129, None),
-    "P10": ("found", 10, 20, (0, 17, 2, 15, 4, 13, 6, 11, 8, 7)),
+    "C7": ("exhausted-none", 0, 0, None),
+    "C9": ("exhausted-none", 0, 0, None),
+    "P10": ("found", 10, 15, (0, 17, 2, 15, 4, 13, 6, 11, 8, 7)),
     "C4+P3": ("found", 5, 6, (0, 11, 2, 7, 1, 4, 3)),
     "C6+P3": ("found", 7, 8, (0, 15, 2, 13, 4, 7, 1, 6, 5)),
     "C8+P7": ("found", 13, 14, (0, 27, 2, 25, 4, 23, 6, 15, 1, 14, 3, 10, 5, 8, 7)),
@@ -49,9 +50,9 @@ SUITE = {
     "C6+P2": ("found", 6, 7, (0, 13, 2, 11, 4, 5, 3, 6)),
     "C8+P3": ("found", 9, 10, (0, 19, 2, 17, 4, 15, 6, 7, 3, 8, 5)),
     "C8+P4": ("found", 11, 12, (0, 21, 2, 19, 4, 17, 6, 9, 1, 8, 13, 12)),
-    "C8+P5": ("found", 12, 27, (0, 23, 2, 21, 4, 19, 6, 11, 1, 10, 17, 14, 13)),
+    "C8+P5": ("found", 12, 20, (0, 23, 2, 21, 4, 19, 6, 11, 1, 10, 17, 14, 13)),
     "C10+P5": (
-        "found", 14, 31, (0, 27, 2, 25, 4, 23, 6, 21, 8, 11, 1, 10, 17, 12, 13),
+        "found", 14, 23, (0, 27, 2, 25, 4, 23, 6, 21, 8, 11, 1, 10, 17, 12, 13),
     ),
     "C12+P4": (
         "found", 15, 15, (0, 29, 2, 27, 4, 25, 6, 23, 8, 21, 10, 1, 5, 12, 17, 14),
@@ -59,11 +60,21 @@ SUITE = {
     "C4+C4": ("found", 6, 8, (0, 15, 2, 11, 1, 8, 3, 4)),
 }
 
-# C9 under a node cap below its 3,233 nodes: the count stops one past the cap
-C9_CAPPED = {
-    10: ("budget-exhausted", 11, 34, None),
-    1000: ("budget-exhausted", 1001, 4355, None),
-    3000: ("budget-exhausted", 3001, 13103, None),
+# a search too deep for the unpruned reference: the parity cut fixes the
+# orientation of each pair edge in a component that already has a label
+DEEP = {
+    "C24+P5": (
+        "found", 99387, 352066,
+        (0, 55, 2, 53, 4, 51, 6, 49, 8, 47, 10, 45, 12, 43, 14, 41, 16, 39, 18, 37, 20, 33,
+         22, 7, 15, 24, 29, 26, 25),
+    ),
+}
+
+# C24+P5 under a node cap below its 99,387 nodes: the count stops one past the cap
+CAPPED = {
+    10: ("budget-exhausted", 11, 11, None),
+    1000: ("budget-exhausted", 1001, 1572, None),
+    3000: ("budget-exhausted", 3001, 4368, None),
 }
 
 # sha256 over repr(assignment_order(t)) + "\n" for ORDER_TOPOLOGIES, in order
@@ -110,11 +121,16 @@ def test_search_suite(spec, pruned):
     assert_pinned(topology_from_spec(parse_graph_spec(spec)), SUITE[spec], pruned)
 
 
-@pytest.mark.parametrize("cap", sorted(C9_CAPPED))
-def test_c9_under_node_cap(cap):
-    topology = topology_from_spec(parse_graph_spec("C9"))
+@pytest.mark.parametrize("spec", sorted(DEEP))
+def test_deep_search(spec):
+    assert_pinned(topology_from_spec(parse_graph_spec(spec)), DEEP[spec], pruned=True)
+
+
+@pytest.mark.parametrize("cap", sorted(CAPPED))
+def test_c24_p5_under_node_cap(cap):
+    topology = topology_from_spec(parse_graph_spec("C24+P5"))
     outcome = exhaustive_search(topology, SearchBudget(max_nodes=cap))
-    assert record(outcome) == C9_CAPPED[cap]
+    assert record(outcome) == CAPPED[cap]
 
 
 def test_assignment_order_digest():
