@@ -253,6 +253,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         _print_stderr("error: input too large: out of memory")
         return EXIT_INVALID
+    except OverflowError as exc:  # a size past any index, such as a huge --q-list entry
+        _print_stderr(f"error: input too large: {exc}")
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -8,9 +8,10 @@ An edge with both ends unlabelled takes a pair of free labels (x, x + D):
 first each pair with x on its first end, lowest x first, then each with x on
 its second end. An edge with one end labelled c gives its other end c - D or
 c + D, lower first. A placement stands only if every edge it completes has
-an odd difference not yet induced, which is checked on the ``free`` (unused
-labels) and ``used`` (induced differences) bitsets. The first level places
-2q-1, so it puts 0 and 2q-1 on one edge.
+a difference not yet induced, checked on the ``free`` (unused labels) and
+``used`` (induced differences) bitsets; the parity cut below has already
+made that difference odd. The first level places 2q-1, so it puts 0 and
+2q-1 on one edge.
 
 Each level of the explicit stack holds a few ints: D, the edge, the mask of
 untried placements and the entry bitsets. Its depth is at most q, whatever
@@ -23,7 +24,8 @@ parity: label parity 2-colours the graph (Gnanajothi's reason that C_m is odd
 graceful only for even m). A graph with an odd cycle therefore has no
 labeling, and the search proves it before the first node. Otherwise, within
 a connected component one side takes only even labels and the other only
-odd ones, and the component's first label fixes which.
+odd ones, and the component's first label fixes which. One walk of each
+component finds its sides, an odd cycle and the root edges below.
 
 Two symmetries cut the first level. Solutions come in complement pairs (f
 and 2q-1-f), which swap the orientation of the edge carrying 2q-1, so only
@@ -31,8 +33,8 @@ one orientation of that edge is tried. Below the root both orientations of a
 pair edge are tried only when the edge opens a component with no label yet:
 no symmetry is left to pair them, and a renumbered C10+P3+P5 is found in 45
 nodes with them and in 21,677,634 without. In a component that already has a
-label, parity leaves each x one orientation. And 2q-1 goes only on
-``root_edges``: the lowest-numbered edge of each orbit under the
+label, parity leaves each x one orientation. And 2q-1 goes only on the
+root edges: the lowest-numbered edge of each orbit under the
 automorphisms known from the topology alone, the rotations and reflections
 of a cycle component, the reversal of a path component and the swaps of
 equal cycle or path components. If an automorphism s maps edge e to r and f
@@ -99,12 +101,16 @@ class SearchOutcome:
     stats: SearchStats
 
 
-def root_edges(topology: GraphTopology) -> int:
-    """Bit i for each edge on which the first level may place 2q-1: the
-    lowest-numbered edge of each orbit under the rotations and reflections
-    of every cycle component, the reversal of every path component and the
-    swaps of equal cycle or path components. Every edge of any other
-    component is its own orbit. Found in O(V + E) from the topology alone.
+def walk_components(topology: GraphTopology) -> tuple[list[int], list[int], int, bool]:
+    """Each vertex's side (0 or 1) and component number, the root mask, and
+    whether an edge joins two vertices of one side (an odd cycle), from one
+    explicit-stack walk of each component, path ends first, in O(V + E).
+
+    The root mask has bit i for each edge on which the first level may place
+    2q-1, odd cycle or not: the lowest-numbered edge of each orbit under the
+    rotations and reflections of every cycle component, the reversal of
+    every path component and the swaps of equal cycle or path components.
+    Every edge of any other component is its own orbit.
     """
     edges = topology.edges
     incident: list[list[int]] = [[] for _ in topology.names]
@@ -112,13 +118,14 @@ def root_edges(topology: GraphTopology) -> int:
         incident[a].append(i)
         incident[b].append(i)
     orbit: list[tuple[int, ...]] = [(2, i) for i in range(len(edges))]
-    seen = [False] * len(incident)
+    side, component = [-1] * len(incident), [0] * len(incident)
+    odd_cycle, k = False, 0
     # path ends first, so that each path is walked from one of its ends
     ends = [v for v, at in enumerate(incident) if len(at) == 1]
-    for start in ends + [v for v, at in enumerate(incident) if len(at) > 1]:
-        if seen[start]:
+    for start in ends + [v for v, at in enumerate(incident) if len(at) != 1]:
+        if side[start] >= 0:
             continue
-        seen[start] = True
+        side[start], component[start] = 0, k
         # walk: the edges to new vertices, in order along a path
         stack, walk, found, simple = [start], [], set(), True
         while stack:
@@ -127,45 +134,24 @@ def root_edges(topology: GraphTopology) -> int:
             found.update(incident[v])
             for i in incident[v]:
                 w = edges[i][0] + edges[i][1] - v
-                if not seen[w]:
-                    seen[w] = True
+                if side[w] < 0:
+                    side[w], component[w] = side[v] ^ 1, k
                     walk.append(i)
                     stack.append(w)
-        k = len(found)
-        if simple and k > len(walk):  # a cycle: one orbit per length
+                elif side[w] == side[v]:
+                    odd_cycle = True
+        n = len(found)
+        if simple and n > len(walk):  # a cycle: one orbit per length
             for i in found:
-                orbit[i] = (0, k)
+                orbit[i] = (0, n)
         elif simple:  # a path: one orbit per length and distance from an end
             for j, i in enumerate(walk):
-                orbit[i] = (1, k, min(j, k - 1 - j))
+                orbit[i] = (1, n, min(j, n - 1 - j))
+        k += 1
     first: dict[tuple[int, ...], int] = {}
     for i, key in enumerate(orbit):
         first.setdefault(key, i)
-    return sum(1 << i for i in first.values())
-
-
-def two_colouring(neighbors: list[list[int]]) -> tuple[list[int], list[int]] | None:
-    """Each vertex's side (0 or 1) and component number, or None when an
-    edge joins two vertices of one side: the graph has an odd cycle. Found
-    in O(V + E) with an explicit stack.
-    """
-    side = [-1] * len(neighbors)
-    component = [0] * len(neighbors)
-    k = 0
-    for start in range(len(neighbors)):
-        if side[start] >= 0:
-            continue
-        side[start], component[start], stack = 0, k, [start]
-        while stack:
-            v = stack.pop()
-            for w in neighbors[v]:
-                if side[w] < 0:
-                    side[w], component[w] = side[v] ^ 1, k
-                    stack.append(w)
-                elif side[w] == side[v]:
-                    return None
-        k += 1
-    return side, component
+    return side, component, sum(1 << i for i in first.values()), odd_cycle
 
 
 def exhaustive_search(
@@ -197,10 +183,9 @@ def exhaustive_search(
         neighbors[b].append(a)
         incident[a] |= 1 << i
         incident[b] |= 1 << i
-    colouring = two_colouring(neighbors)
-    if colouring is None:  # every difference is odd, so labels alternate parity
+    side, component, roots, odd_cycle = walk_components(topology)  # roots: 2q-1's edges
+    if odd_cycle:  # every difference is odd, so labels alternate parity
         return SearchOutcome(SearchStatus.EXHAUSTED_NONE, None, SearchStats(0, 0, "odd cycle"))
-    side, component = colouring
     # per component: its labelled vertices, and the label parity of its side 0
     count = [0] * (max(component) + 1)
     parity = [0] * len(count)
@@ -209,7 +194,6 @@ def exhaustive_search(
     # free: unused labels; used: bit d per induced difference d; undone: bit i
     # per edge with an unlabelled end; touched: the edges at labelled vertices
     free, used, undone, touched = (1 << two_q) - 1, 0, (1 << q) - 1, 0
-    roots = root_edges(topology)  # the edges 2q-1 may take
     # the explicit stack: each lower level's D, edge, untried mask and entry bitsets
     stack: list[tuple[int, int, int, int, int, int, int]] = []
     # this level: difference D placed on edge e, trying the placements in mask;
@@ -265,7 +249,7 @@ def exhaustive_search(
         else:
             x -= two_q
             placing = ((a, x + d_top), (b, x))
-        # every edge this placement completes must be odd and new
+        # every edge this placement completes must carry a new difference
         new = used
         for v, value in placing:
             label[v] = value
@@ -273,7 +257,7 @@ def exhaustive_search(
                 c = label[w]
                 if c >= 0:
                     d = value - c if value > c else c - value
-                    if not d & 1 or new >> d & 1:
+                    if new >> d & 1:
                         break
                     new |= 1 << d
             else:

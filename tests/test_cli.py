@@ -362,6 +362,14 @@ class TestOversizedInputs:
         assert result.stderr.startswith("error:") and "too large" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_index_overflow_is_a_clean_error(self):
+        # a path longer than any list can be indexed: OverflowError, not MemoryError
+        result = run_module("bench", "--q-list", "10000000000000000000000", "--reps", "1")
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: input too large")
+        assert len(result.stderr.splitlines()) == 1
+        assert "Traceback" not in result.stderr
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):

@@ -12,7 +12,7 @@ from oddgraceful import (
 )
 from oddgraceful.graphs import GraphTopology, build_free_graph
 from oddgraceful.graphspec import parse_graph_spec, topology_from_spec
-from oddgraceful.search import root_edges
+from oddgraceful.search import walk_components
 from reference_search import assignment_order, reference_search
 from test_search_differential import UNIONS
 
@@ -188,17 +188,17 @@ class TestRootOrbits:
 
     def test_counts(self):
         c9 = topology_from_spec(parse_graph_spec("C9"))
-        assert root_edges(c9) == 1  # one rotation class, edge 0
+        assert walk_components(c9)[2] == 1  # one rotation class, edge 0
         p10 = topology_from_spec(parse_graph_spec("P10"))
-        assert root_edges(p10) == 0b11111  # edges j and 8 - j are one class
+        assert walk_components(p10)[2] == 0b11111  # edges j and 8 - j are one class
         star = build_free_graph([(1, 2), (1, 3), (1, 4), (1, 5)])
-        assert root_edges(star) == 0b1111  # not a cycle or path: every edge kept
+        assert walk_components(star)[2] == 0b1111  # not a cycle or path: every edge kept
 
     @staticmethod
     def assert_sound(topology):
         # every skipped edge is mapped onto a kept edge by an automorphism,
         # written out as a permutation that maps the edge set onto itself
-        roots = root_edges(topology)
+        roots = walk_components(topology)[2]
         edge_set = {frozenset(edge) for edge in topology.edges}
         index = {frozenset(edge): i for i, edge in enumerate(topology.edges)}
         automorphisms = list(explicit_automorphisms(topology))
