@@ -25,23 +25,9 @@ graceful only for even m). A graph with an odd cycle therefore has no
 labeling, and the search proves it before the first node. Otherwise, within
 a connected component one side takes only even labels and the other only
 odd ones, and the component's first label fixes which. One walk of each
-component finds its sides, an odd cycle and the root edges below.
-
-Two symmetries cut the first level. Solutions come in complement pairs (f
-and 2q-1-f), which swap the orientation of the edge carrying 2q-1, so only
-one orientation of that edge is tried. Below the root both orientations of a
-pair edge are tried only when the edge opens a component with no label yet:
-no symmetry is left to pair them, and a renumbered C10+P3+P5 is found in 45
-nodes with them and in 21,677,634 without. In a component that already has a
-label, parity leaves each x one orientation. And 2q-1 goes only on the
-root edges: the lowest-numbered edge of each orbit under the
-automorphisms known from the topology alone, the rotations and reflections
-of a cycle component, the reversal of a path component and the swaps of
-equal cycle or path components. If an automorphism s maps edge e to r and f
-is odd graceful with 2q-1 on e, then f composed with s^-1 is odd graceful
-with 2q-1 on r, so no verdict is lost; its complement keeps 2q-1 on r, so
-the two cuts hold together. A cycle's edges are one orbit, so C_m searches
-one edge in m.
+component finds its sides and an odd cycle. In a component that already has
+a label, parity leaves each x of a pair edge one orientation; a pair edge
+that opens a component tries both.
 
 Odd cycles (C3, C5, ..., C13 and beyond) are proven at 0 nodes. Search cost
 still grows exponentially with q: C24+P5 is found in 99,387 nodes (352,066
@@ -101,59 +87,6 @@ class SearchOutcome:
     stats: SearchStats
 
 
-def walk_components(topology: GraphTopology) -> tuple[list[int], list[int], int, bool]:
-    """Each vertex's side (0 or 1) and component number, the root mask, and
-    whether an edge joins two vertices of one side (an odd cycle), from one
-    explicit-stack walk of each component, path ends first, in O(V + E).
-
-    The root mask has bit i for each edge on which the first level may place
-    2q-1, odd cycle or not: the lowest-numbered edge of each orbit under the
-    rotations and reflections of every cycle component, the reversal of
-    every path component and the swaps of equal cycle or path components.
-    Every edge of any other component is its own orbit.
-    """
-    edges = topology.edges
-    incident: list[list[int]] = [[] for _ in topology.names]
-    for i, (a, b) in enumerate(edges):
-        incident[a].append(i)
-        incident[b].append(i)
-    orbit: list[tuple[int, ...]] = [(2, i) for i in range(len(edges))]
-    side, component = [-1] * len(incident), [0] * len(incident)
-    odd_cycle, k = False, 0
-    # path ends first, so that each path is walked from one of its ends
-    ends = [v for v, at in enumerate(incident) if len(at) == 1]
-    for start in ends + [v for v, at in enumerate(incident) if len(at) != 1]:
-        if side[start] >= 0:
-            continue
-        side[start], component[start] = 0, k
-        # walk: the edges to new vertices, in order along a path
-        stack, walk, found, simple = [start], [], set(), True
-        while stack:
-            v = stack.pop()
-            simple = simple and len(incident[v]) <= 2
-            found.update(incident[v])
-            for i in incident[v]:
-                w = edges[i][0] + edges[i][1] - v
-                if side[w] < 0:
-                    side[w], component[w] = side[v] ^ 1, k
-                    walk.append(i)
-                    stack.append(w)
-                elif side[w] == side[v]:
-                    odd_cycle = True
-        n = len(found)
-        if simple and n > len(walk):  # a cycle: one orbit per length
-            for i in found:
-                orbit[i] = (0, n)
-        elif simple:  # a path: one orbit per length and distance from an end
-            for j, i in enumerate(walk):
-                orbit[i] = (1, n, min(j, n - 1 - j))
-        k += 1
-    first: dict[tuple[int, ...], int] = {}
-    for i, key in enumerate(orbit):
-        first.setdefault(key, i)
-    return side, component, sum(1 << i for i in first.values()), odd_cycle
-
-
 def exhaustive_search(
     topology: GraphTopology,
     budget: SearchBudget | None = None,
@@ -162,8 +95,8 @@ def exhaustive_search(
 
     Returns FOUND with the first certificate in difference-first order
     (re-checked by the verifier before being returned), EXHAUSTED_NONE once
-    the full symmetry-reduced space is explored or ``stats.proof`` rules out
-    every labeling before the first node, or BUDGET_EXHAUSTED.
+    the search space is exhausted or ``stats.proof`` rules out every labeling
+    before the first node, or BUDGET_EXHAUSTED.
     Identical inputs always produce identical outcomes and statistics.
     """
     budget = budget or SearchBudget()
@@ -177,18 +110,31 @@ def exhaustive_search(
         stats = SearchStats(0, 0, "more vertices than labels")
         return SearchOutcome(SearchStatus.EXHAUSTED_NONE, None, stats)
     neighbors: list[list[int]] = [[] for _ in label]
-    incident = [0] * len(label)  # bit i per edge i at the vertex
-    for i, (a, b) in enumerate(edges):
+    for a, b in edges:
         neighbors[a].append(b)
         neighbors[b].append(a)
+    # one walk of each component: each vertex's side (0 or 1) and component
+    side, component, k = [-1] * len(label), [0] * len(label), 0
+    for start in range(len(label)):
+        if side[start] >= 0:
+            continue
+        side[start], component[start], todo = 0, k, [start]
+        while todo:
+            v = todo.pop()
+            for w in neighbors[v]:
+                if side[w] < 0:
+                    side[w], component[w] = side[v] ^ 1, k
+                    todo.append(w)
+                elif side[w] == side[v]:  # an odd cycle: labels cannot alternate parity
+                    stats = SearchStats(0, 0, "odd cycle")
+                    return SearchOutcome(SearchStatus.EXHAUSTED_NONE, None, stats)
+        k += 1
+    incident = [0] * len(label)  # bit i per edge i at the vertex
+    for i, (a, b) in enumerate(edges):
         incident[a] |= 1 << i
         incident[b] |= 1 << i
-    side, component, roots, odd_cycle = walk_components(topology)  # roots: 2q-1's edges
-    if odd_cycle:  # every difference is odd, so labels alternate parity
-        return SearchOutcome(SearchStatus.EXHAUSTED_NONE, None, SearchStats(0, 0, "odd cycle"))
     # per component: its labelled vertices, and the label parity of its side 0
-    count = [0] * (max(component) + 1)
-    parity = [0] * len(count)
+    count, parity = [0] * k, [0] * k
     odd = int("10" * q, 2)  # bit d for every odd d < 2q: all differences induced
     evens = odd >> 1  # bit x for every even x < 2q
     # free: unused labels; used: bit d per induced difference d; undone: bit i
@@ -210,7 +156,7 @@ def exhaustive_search(
     while True:
         if not mask:
             # this edge is spent: move to the next undone edge at this level
-            rest = (undone if stack else roots) >> e + 1
+            rest = undone >> e + 1
             if not rest:
                 # no edge left for D: resume the level below past its placement
                 if not stack:
@@ -232,7 +178,7 @@ def exhaustive_search(
                 if count[k]:  # parity fixes the orientation of each x
                     keep = evens if parity[k] == side[a] else ~evens
                     mask = mask & keep | (mask & ~keep) << two_q
-                elif stack:  # complement symmetry: one orientation at the root
+                else:  # the component's first pair: both orientations
                     mask |= mask << two_q
             continue
         bit = mask & -mask

@@ -12,9 +12,7 @@ from oddgraceful import (
 )
 from oddgraceful.graphs import GraphTopology, build_free_graph
 from oddgraceful.graphspec import parse_graph_spec, topology_from_spec
-from oddgraceful.search import walk_components
 from reference_search import assignment_order, reference_search
-from test_search_differential import UNIONS
 
 
 def cycle_edges(length):
@@ -103,16 +101,16 @@ class TestAgainstBruteForce:
 class TestSymmetryBreaking:
     @pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
     def test_same_status_with_and_without(self, name):
-        # the oracle with its symmetry cuts, the reference without any
+        # the oracle with its parity cut, the reference without any
         topology = SMALL_GRAPHS[name]
         reduced = exhaustive_search(topology)
         full = reference_search(topology)
         assert reduced.status is full.status
 
     def test_second_orientation_below_the_root(self):
-        # C10+P3+P5, renumbered: the first labeling the oracle reaches puts x
-        # on the second end of a pair edge below the root, in 45 nodes. An
-        # oracle without that orientation takes 21,677,634 nodes to a labeling.
+        # C10+P3+P5, renumbered and its edges shuffled, so that components
+        # open below the first level, where a pair edge tries both
+        # orientations: found in 39 nodes
         topology = build_free_graph([
             (9, 5), (6, 2), (2, 15), (7, 10), (3, 16), (16, 7), (11, 18), (10, 13),
             (4, 1), (4, 8), (5, 6), (14, 11), (15, 17), (8, 12), (12, 9), (17, 1),
@@ -120,97 +118,6 @@ class TestSymmetryBreaking:
         outcome = exhaustive_search(topology, SearchBudget(max_nodes=10_000))
         assert outcome.status is SearchStatus.FOUND
         assert verify_odd_graceful(topology, outcome.labeling).is_odd_graceful
-
-
-def components(topology):
-    """Each component's kind, C (cycle), P (path) or G (any other), and its
-    vertices: in walk order for a cycle or a path, from one end of a path."""
-    adjacent = [set() for _ in topology.names]
-    for a, b in topology.edges:
-        adjacent[a].add(b)
-        adjacent[b].add(a)
-    seen, found = set(), []
-    for start in sorted(range(len(adjacent)), key=lambda v: len(adjacent[v]) != 1):
-        if start in seen or not adjacent[start]:
-            continue
-        members, frontier = {start}, [start]
-        while frontier:
-            for w in adjacent[frontier.pop()] - members:
-                members.add(w)
-                frontier.append(w)
-        seen |= members
-        if any(len(adjacent[v]) > 2 for v in members):
-            found.append(("G", sorted(members)))
-            continue
-        walk = [start]
-        while len(walk) < len(members):
-            walk.append(min(adjacent[walk[-1]] - set(walk[-2:])))
-        found.append(("C" if len(adjacent[start]) == 2 else "P", walk))
-    return found
-
-
-def explicit_automorphisms(topology):
-    """Every vertex permutation that maps one cycle (path) component onto an
-    equal one by a rotation or reflection (identity or reversal), swaps the
-    two, and fixes every other vertex."""
-    parts = [part for part in components(topology) if part[0] != "G"]
-    for kind, source in parts:
-        k = len(source)
-        if kind == "C":
-            images = [[(s + r * t) % k for t in range(k)] for s in range(k) for r in (1, -1)]
-        else:
-            images = [list(range(k)), list(range(k - 1, -1, -1))]
-        for other, target in parts:
-            if other != kind or len(target) != k:
-                continue
-            for image in images:
-                perm = list(range(len(topology.names)))
-                for t, u in enumerate(image):
-                    perm[source[t]] = target[u]
-                    if target is not source:
-                        perm[target[u]] = source[t]
-                yield perm
-
-
-class TestRootOrbits:
-    SPECS = ["C3", "C9", "P2", "P10", "C4+P3", "C4+C4", "P3+P3+P3", "C5+P4+C5+P4", "P5+C12"]
-
-    @pytest.mark.parametrize("spec", SPECS)
-    def test_specs(self, spec):
-        self.assert_sound(topology_from_spec(parse_graph_spec(spec)))
-
-    def test_unions(self):
-        kinds = set()
-        for topology in UNIONS:
-            self.assert_sound(topology)
-            kinds.update(kind for kind, _ in components(topology))
-        assert kinds == {"C", "P", "G"}
-
-    def test_counts(self):
-        c9 = topology_from_spec(parse_graph_spec("C9"))
-        assert walk_components(c9)[2] == 1  # one rotation class, edge 0
-        p10 = topology_from_spec(parse_graph_spec("P10"))
-        assert walk_components(p10)[2] == 0b11111  # edges j and 8 - j are one class
-        star = build_free_graph([(1, 2), (1, 3), (1, 4), (1, 5)])
-        assert walk_components(star)[2] == 0b1111  # not a cycle or path: every edge kept
-
-    @staticmethod
-    def assert_sound(topology):
-        # every skipped edge is mapped onto a kept edge by an automorphism,
-        # written out as a permutation that maps the edge set onto itself
-        roots = walk_components(topology)[2]
-        edge_set = {frozenset(edge) for edge in topology.edges}
-        index = {frozenset(edge): i for i, edge in enumerate(topology.edges)}
-        automorphisms = list(explicit_automorphisms(topology))
-        for perm in automorphisms:
-            assert sorted(perm) == list(range(len(perm)))
-            assert {frozenset((perm[a], perm[b])) for a, b in topology.edges} == edge_set
-        assert roots & 1  # edge 0 always stays
-        for i, (a, b) in enumerate(topology.edges):
-            if not roots >> i & 1:
-                assert any(
-                    roots >> index[frozenset((perm[a], perm[b]))] & 1 for perm in automorphisms
-                ), (topology.edges, i)
 
 
 class TestBudget:

@@ -1,7 +1,8 @@
 """Differential tests: the search oracle's verdicts against two references.
 
-The oracle always prunes its first level by complement symmetry and by root
-orbits. Neither reference shares code with it or prunes by symmetry.
+The oracle cuts by label parity: an odd cycle ends it before the first node,
+and in a component that already has a label each pair edge keeps one
+orientation. Neither reference shares code with it or makes either cut.
 
 The vertex-order reference (``tests/reference_search.py``) runs on the same
 seeded random graphs of at most 8 vertices. Uncapped, both must reach the
@@ -15,10 +16,11 @@ dense graphs of any kind. Some vertices are left isolated.
 Plain enumeration (``tests/bruteforce.py``) is the second reference, on
 seeded graphs of at most 6 vertices, some with more vertices than labels.
 
-The root-orbit pruning has its own draw: seeded disjoint unions of cycles
-and paths, the graphs it prunes most, with their vertices renumbered and
-their edges shuffled, some with a chord or a pendant. Their verdicts are
-checked against both references. Every certificate must pass the verifier.
+Disjoint unions of cycles and paths have their own draw: seeded unions with
+their vertices renumbered and their edges shuffled, some with a chord or a
+pendant, so that many components open below the first level. Their verdicts
+are checked against both references. Every certificate must pass the
+verifier.
 """
 
 import random
