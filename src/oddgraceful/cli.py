@@ -11,7 +11,8 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
+from itertools import chain
+from typing import Iterable
 
 from .bench import bench_csv, fit, run_bench
 from .construction import (
@@ -27,8 +28,9 @@ from .errors import (
     OddGracefulError,
 )
 from .formats import (
-    document_to_json,
-    labeling_document,  # unused here, but perfbench/tracing.py wraps it under this name
+    document_pieces,
+    document_to_json,  # unused here, but perfbench/tracing.py wraps it under this name
+    labeling_document,  # likewise
     parse_labeling_document,
     report_to_dict,
     to_csv,
@@ -124,12 +126,19 @@ def _print_stderr(line: str) -> None:
         pass
 
 
-def _write_out(text: str, path: str | None) -> None:
+def _write_out(pieces: Iterable[str], path: str | None) -> None:
+    """Write the text's pieces one at a time. The first is taken before the
+    file is opened, so a writer that fails before it leaves the file as it was."""
+    pieces = iter(pieces)
+    first = next(pieces)
     if path is None:
-        print(text, end="")  # like every print, skipped when stdout is closed
+        for piece in chain((first,), pieces):
+            print(piece, end="")  # like every print, skipped when stdout is closed
         return
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as out:
+            out.write(first)
+            out.writelines(pieces)
     except OSError as exc:
         raise UsageError(f"cannot write {path!r}: {exc}") from None
 
@@ -155,12 +164,11 @@ def _cmd_generate(args) -> int:
         if not args.force:
             return EXIT_INVALID
     if args.format == "json":
-        text = document_to_json(topology, labeling)
-    elif args.format == "dot":
-        text = to_dot(topology, labeling)
+        pieces = document_pieces(topology, labeling, report.induced)
     else:
-        text = to_csv(topology, labeling)
-    _write_out(text, args.out)
+        writer = to_dot if args.format == "dot" else to_csv
+        pieces = [writer(topology, labeling, report.induced)]
+    _write_out(pieces, args.out)
     return EXIT_OK if report.is_odd_graceful else EXIT_INVALID
 
 
@@ -211,7 +219,7 @@ def _cmd_bench(args) -> int:
     if not q_values:
         raise UsageError("--q-list is empty")
     samples = run_bench(q_values, repetitions=args.reps, m=args.m)
-    _write_out(bench_csv(samples), args.out)
+    _write_out([bench_csv(samples)], args.out)
     if args.out is not None:
         for method in METHODS:
             slope, r_squared, _ = fit(samples, method)

@@ -6,20 +6,25 @@ v_1..v_n), edges likewise (cycle edges then path edges). Stored edge labels
 are derived data; verification always recomputes them from vertex labels, so
 a document with tampered vertex labels is judged on substance.
 
-``document_to_json`` writes a labeled topology's document, the bytes of
+``document_pieces`` writes a labeled topology's document, the bytes of
 ``json.dumps(document, indent=2)`` plus a newline (two-space indent, one
-field per line, non-ASCII escaped); ``labeling_document`` is its parse.
+field per line, non-ASCII escaped), in pieces of at most a few thousand list
+entries; ``generate`` writes them one at a time, and ``document_to_json`` is
+their join. ``labeling_document`` is the document's parse.
 ``parse_labeling_document`` accepts any JSON layout and returns
 ``build_union_graph(m, n)`` for a union document. It reads the bytes
-``generate`` writes by writing them again; any other text goes through the
-per-entry checks, which report its first failed check. Output is
-byte-identical across runs for identical inputs.
+``generate`` writes by writing them again, comparing each piece with the
+text in its place, so no second copy of the document is made; any other
+text goes through the per-entry checks, which report its first failed check.
+Output is byte-identical across runs for identical inputs.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from itertools import islice
+from typing import Iterable, Iterator
 
 from .errors import DocumentError, OddGracefulError
 from .graphs import GraphTopology, Labeling, build_union_graph
@@ -33,10 +38,34 @@ _HEADER = '{\n  "graph": {\n    "m": %d,\n    "n": %d\n  },\n  "q": %d,\n  "vert
 _VERTEX = '    {\n      "id": %s,\n      "label": %d\n    }'
 _EDGE = '    {\n      "from": %s,\n      "to": %s,\n      "label": %d\n    }'
 _encode_str = json.encoder.encode_basestring_ascii
+_PIECE = 4096  # list entries per piece of the document
 
 
-def _json_list(items: list[str]) -> str:
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+def _json_list(template: str, rows: Iterable[tuple]) -> Iterator[str]:
+    """An indented JSON list of ``template % row``, in pieces of at most ``_PIECE`` rows."""
+    rows = iter(rows)
+    start = "[\n"
+    while piece := [template % row for row in islice(rows, _PIECE)]:
+        yield start + ",\n".join(piece)
+        start = ",\n"
+    yield "[]" if start == "[\n" else "\n  ]"
+
+
+def document_pieces(
+    topology: GraphTopology, labeling: Labeling, induced: tuple[int, ...] | None = None
+) -> Iterator[str]:
+    """:func:`document_to_json` in pieces of at most ``_PIECE`` list entries.
+    The name and edge-label tables are built before the first piece;
+    ``induced`` is the edge labels, when they are already known."""
+    names = [_encode_str(name) for name in topology.names]
+    if induced is None:
+        induced = edge_labels(topology, labeling)
+    yield _HEADER % (topology.m, topology.n, topology.q)
+    yield from _json_list(_VERTEX, zip(names, labeling))
+    yield ',\n  "edges": '
+    edges = ((names[a], names[b], value) for (a, b), value in zip(topology.edges, induced))
+    yield from _json_list(_EDGE, edges)
+    yield "\n}\n"
 
 
 def document_to_json(topology: GraphTopology, labeling: Labeling) -> str:
@@ -47,16 +76,10 @@ def document_to_json(topology: GraphTopology, labeling: Labeling) -> str:
     one ``{from, to, label}`` object per edge. Ints are written with ``%d``
     and names with ``encode_basestring_ascii``, the C function
     ``json.dumps`` uses, into fixed templates, because ``json.dumps`` with
-    an indent runs its pure-Python encoder on every entry.
+    an indent runs its pure-Python encoder on every entry. The text is the
+    join of :func:`document_pieces`, which ``generate`` writes one at a time.
     """
-    names = [_encode_str(name) for name in topology.names]
-    induced = edge_labels(topology, labeling)
-    header = _HEADER % (topology.m, topology.n, topology.q)
-    vertices = [_VERTEX % entry for entry in zip(names, labeling)]
-    edges = [
-        _EDGE % (names[a], names[b], value) for (a, b), value in zip(topology.edges, induced)
-    ]
-    return header + _json_list(vertices) + ',\n  "edges": ' + _json_list(edges) + "\n}\n"
+    return "".join(document_pieces(topology, labeling))
 
 
 def labeling_document(topology: GraphTopology, labeling: Labeling) -> dict:
@@ -111,7 +134,15 @@ def _written_union(text: str) -> tuple[GraphTopology, Labeling] | None:
         union = len(labels) == m + n and build_union_graph(m, n)
     except (ValueError, OddGracefulError):
         return None
-    return (union, labels) if union and document_to_json(union, labels) == text else None
+    if not union:
+        return None
+    # piece by piece, so the document is never written whole a second time
+    at = 0
+    for piece in document_pieces(union, labels):
+        if not text.startswith(piece, at):
+            return None
+        at += len(piece)
+    return (union, labels) if at == len(text) else None
 
 
 def parse_labeling_document(text: str) -> tuple[GraphTopology, Labeling]:
@@ -193,10 +224,11 @@ def parse_labeling_document(text: str) -> tuple[GraphTopology, Labeling]:
     return union, tuple(labels)
 
 
-def to_dot(topology: GraphTopology, labeling: Labeling) -> str:
+def to_dot(topology: GraphTopology, labeling: Labeling, induced: tuple | None = None) -> str:
     """Undirected DOT text; node display is ``id:label``, edges carry their label."""
     names = topology.names
-    induced = edge_labels(topology, labeling)
+    if induced is None:
+        induced = edge_labels(topology, labeling)
     lines = ["graph G {"]
     lines.extend(f'  {name} [label="{name}:{label}"];' for name, label in zip(names, labeling))
     lines.extend(
@@ -207,10 +239,11 @@ def to_dot(topology: GraphTopology, labeling: Labeling) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_csv(topology: GraphTopology, labeling: Labeling) -> str:
+def to_csv(topology: GraphTopology, labeling: Labeling, induced: tuple | None = None) -> str:
     """Vertex section then edge section; edges are numbered e1..eq in edge order."""
     names = topology.names
-    induced = edge_labels(topology, labeling)
+    if induced is None:
+        induced = edge_labels(topology, labeling)
     lines = ["vertex,label"]
     lines.extend(f"{name},{label}" for name, label in zip(names, labeling))
     lines.append("edge,from,to,label")

@@ -11,7 +11,7 @@ code certifies search results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from .errors import MissingVertexLabelError
@@ -86,6 +86,8 @@ Violation = Union[
 class VerificationReport:
     is_odd_graceful: bool
     violations: tuple[Violation, ...]
+    # the edge labels the checks computed, in edge order, for a writer to reuse
+    induced: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
 
 def _require_total(topology: GraphTopology, labeling: Labeling) -> None:
@@ -120,9 +122,9 @@ def verify_odd_graceful(topology: GraphTopology, labeling: Labeling) -> Verifica
         and len(set(labeling)) == len(labeling)
         and set(induced) == set(range(1, upper + 1, 2))
     ):
-        return VerificationReport(is_odd_graceful=True, violations=())
+        return VerificationReport(True, (), induced)
     violations = _violations(topology, labeling, induced)
-    return VerificationReport(is_odd_graceful=not violations, violations=tuple(violations))
+    return VerificationReport(not violations, tuple(violations), induced)
 
 
 def _violations(

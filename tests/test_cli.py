@@ -6,10 +6,12 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from oddgraceful import cli
 from oddgraceful.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -111,6 +113,19 @@ class TestGenerate:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["q"] == 8
+
+    def test_failed_writer_leaves_out_file(self, capsys, monkeypatch, tmp_path):
+        target = tmp_path / "labeling.json"
+        target.write_text("old\n")
+
+        def fail(*args):
+            raise MemoryError  # as building the name and edge-label tables can
+            yield
+
+        monkeypatch.setattr(cli, "document_pieces", fail)
+        code, out, err = run(capsys, "generate", "--spec", "C8+P7", "--out", str(target))
+        assert (code, out, err) == (1, "", "error: input too large: out of memory\n")
+        assert target.read_text() == "old\n"
 
 
 class TestVerify:
@@ -369,6 +384,29 @@ class TestOversizedInputs:
         assert result.stderr.startswith("error: input too large")
         assert len(result.stderr.splitlines()) == 1
         assert "Traceback" not in result.stderr
+
+
+class TestMemory:
+    def test_no_second_copy_of_the_document(self, tmp_path):
+        # q = 100,000; the document is 13.7 MB
+        target = tmp_path / "labeling.json"
+        commands = {
+            "generate": (["generate", "--spec", "C8+P99993", "--out", str(target)], 4),
+            "verify": (["verify", "--input", str(target)], 5),
+        }
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for command, (argv, _) in commands.items():
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                assert main(argv) == 0
+                peaks[command] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        size = target.stat().st_size
+        for command, (_, times) in commands.items():
+            assert peaks[command] < times * size, (command, peaks[command] / size)
 
 
 class TestUsage:

@@ -15,6 +15,7 @@ from oddgraceful import (
     validate_params,
     verify_odd_graceful,
 )
+from oddgraceful import formats
 from oddgraceful.construction import force_params, min_path_length
 from oddgraceful.formats import (
     document_to_json,
@@ -248,6 +249,48 @@ class TestJsonBytes:
 
     def test_empty_lists(self):
         self.assert_same_document(GraphTopology(names=(), edges=(), m=4, n=3), ())
+
+
+PIECE = formats._PIECE
+
+
+def union_of(vertices):
+    n = vertices - 4
+    return build_union_graph(4, n), closed_form_labeling(validate_params(4, n))
+
+
+def free_path(vertices):
+    names = tuple(f"w{i}" for i in range(1, vertices + 1))
+    edges = tuple((i, i + 1) for i in range(vertices - 1))
+    return GraphTopology(names=names, edges=edges, m=0, n=0), tuple(range(vertices))
+
+
+class TestPieces:
+    """The document's bytes where its lists split into pieces."""
+
+    @pytest.mark.parametrize("graph", [union_of, free_path], ids=["union", "free"])
+    @pytest.mark.parametrize("count", [PIECE - 1, PIECE, PIECE + 1, 2 * PIECE])
+    @pytest.mark.parametrize("entries", ["vertices", "edges"])
+    def test_bytes_at_piece_boundaries(self, graph, count, entries):
+        # a union and a path have one edge fewer than vertices
+        topology, labeling = graph(count if entries == "vertices" else count + 1)
+        assert len(getattr(topology, "names" if entries == "vertices" else "edges")) == count
+        expected = json.dumps(reference_document(topology, labeling), indent=2) + "\n"
+        assert document_to_json(topology, labeling) == expected
+
+    @pytest.mark.parametrize("graph", [union_of(7), free_path(2)], ids=["union", "free"])
+    def test_empty_edge_list(self, graph):
+        topology, labeling = replace(graph[0], edges=()), graph[1]
+        expected = json.dumps(reference_document(topology, labeling), indent=2) + "\n"
+        assert document_to_json(topology, labeling) == expected
+
+    def test_pieces_hold_at_most_piece_entries(self):
+        topology, labeling = union_of(2 * PIECE + 3)
+        pieces = list(formats.document_pieces(topology, labeling))
+        entries = [piece.count("    {\n") for piece in pieces]
+        # header, vertices, edges and the closings
+        assert entries == [0, PIECE, PIECE, 3, 0, 0, PIECE, PIECE, 2, 0, 0]
+        assert "".join(pieces) == document_to_json(topology, labeling)
 
 
 class TestRoundTrip:

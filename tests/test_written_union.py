@@ -8,6 +8,7 @@ layout, and never decides differently from the walk.
 """
 
 import json
+from itertools import accumulate
 
 import pytest
 
@@ -99,3 +100,51 @@ def test_too_long_a_number_is_a_json_error(field):
     with pytest.raises(DocumentError) as excinfo:
         parse_labeling_document(text)
     assert str(excinfo.value) == "invalid JSON: integer too large"
+
+
+def piece_ends(m, n):
+    """The text generate writes for C_m + P_n, and where each of its pieces ends."""
+    topology = build_union_graph(m, n)
+    pieces = list(formats.document_pieces(topology, closed_form_labeling(validate_params(m, n))))
+    ends = list(accumulate(map(len, pieces)))
+    return "".join(pieces), pieces, ends
+
+
+def cut_after_vertex_list(text, pieces, ends):
+    return text[:ends[pieces.index(',\n  "edges": ') - 1]]
+
+
+def cut_after_full_edge_piece(text, pieces, ends):
+    return text[:ends[pieces.index(',\n  "edges": ') + 1]]
+
+
+def change_in_last_entries(text, pieces, ends):
+    # the first digit of the last edge's stored label, which the walk ignores
+    at = text.rindex('"label": ', 0, ends[-3]) + len('"label": ')
+    return text[:at] + ("3" if text[at] == "1" else "1") + text[at + 1:]
+
+
+def change_in_last_piece(text, pieces, ends):
+    return text[:-1] + " "
+
+
+PIECEWISE = {
+    "one trailing byte": lambda text, pieces, ends: text + "x",
+    "cut after the vertex list": cut_after_vertex_list,
+    "cut after a full edge piece": cut_after_full_edge_piece,
+    "one byte changed in the last entry piece": change_in_last_entries,
+    "one byte changed in the last piece": change_in_last_piece,
+}
+
+
+@pytest.mark.parametrize("name", list(PIECEWISE))
+def test_piecewise_compare_rejects(monkeypatch, name):
+    # C8+P(2 * PIECE): two full pieces of vertices and of edges, and a short third
+    text, pieces, ends = piece_ends(8, 2 * formats._PIECE)
+    assert len(pieces) == 11
+    other = PIECEWISE[name](text, pieces, ends)
+    assert other != text
+    assert _written_union(other) is None
+    record = parse_record(other)
+    monkeypatch.setattr(formats, "_written_union", lambda text: None)
+    assert parse_record(other) == record
