@@ -254,14 +254,9 @@ def to_csv(topology: GraphTopology, labeling: Labeling, induced: tuple | None = 
     return "\n".join(lines) + "\n"
 
 
-def _plain(value):
-    return [_plain(item) for item in value] if isinstance(value, tuple) else value
-
-
 def violation_to_dict(violation) -> dict:
     """The violation's kind, then its fields in declaration order."""
-    fields = {key: _plain(value) for key, value in vars(violation).items()}
-    return {"kind": type(violation).__name__, **fields}
+    return {"kind": type(violation).__name__, **vars(violation)}
 
 
 def report_to_dict(report: VerificationReport, q: int) -> dict:

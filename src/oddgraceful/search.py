@@ -14,10 +14,12 @@ made that difference odd. The first level places 2q-1, so it puts 0 and
 2q-1 on one edge.
 
 Each level of the explicit stack holds a few ints: D, the edge, the mask of
-untried placements and the entry bitsets. Its depth is at most q, whatever
-the recursion limit. Once every difference is induced, every edge is done,
-and isolated vertices take the lowest free labels. A graph with more
-vertices than 2q labels has no labeling and ends at once.
+untried placements and the entry ``free``, ``used``, ``undone`` and
+``opened`` (bit k per component that holds a label). A backtrack restores
+them and clears only the labels its own level placed. The depth is at most
+q, whatever the recursion limit. Once every difference is induced, every
+edge is done, and isolated vertices take the lowest free labels. A graph
+with more vertices than 2q labels has no labeling and ends at once.
 
 Every edge difference is odd, so the ends of an edge have labels of opposite
 parity: label parity 2-colours the graph (Gnanajothi's reason that C_m is odd
@@ -109,10 +111,11 @@ def exhaustive_search(
     if len(label) > two_q:  # not enough distinct labels
         stats = SearchStats(0, 0, "more vertices than labels")
         return SearchOutcome(SearchStatus.EXHAUSTED_NONE, None, stats)
-    neighbors: list[list[int]] = [[] for _ in label]
-    for a, b in edges:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
+    # each neighbour with the bit of the edge to it
+    neighbors: list[list[tuple[int, int]]] = [[] for _ in label]
+    for i, (a, b) in enumerate(edges):
+        neighbors[a].append((b, 1 << i))
+        neighbors[b].append((a, 1 << i))
     # one walk of each component: each vertex's side (0 or 1) and component
     side, component, k = [-1] * len(label), [0] * len(label), 0
     for start in range(len(label)):
@@ -121,7 +124,7 @@ def exhaustive_search(
         side[start], component[start], todo = 0, k, [start]
         while todo:
             v = todo.pop()
-            for w in neighbors[v]:
+            for w, _ in neighbors[v]:
                 if side[w] < 0:
                     side[w], component[w] = side[v] ^ 1, k
                     todo.append(w)
@@ -129,19 +132,13 @@ def exhaustive_search(
                     stats = SearchStats(0, 0, "odd cycle")
                     return SearchOutcome(SearchStatus.EXHAUSTED_NONE, None, stats)
         k += 1
-    incident = [0] * len(label)  # bit i per edge i at the vertex
-    for i, (a, b) in enumerate(edges):
-        incident[a] |= 1 << i
-        incident[b] |= 1 << i
-    # per component: its labelled vertices, and the label parity of its side 0
-    count, parity = [0] * k, [0] * k
+    parity = [0] * k  # per opened component: the label parity of its side 0
     odd = int("10" * q, 2)  # bit d for every odd d < 2q: all differences induced
     evens = odd >> 1  # bit x for every even x < 2q
     # free: unused labels; used: bit d per induced difference d; undone: bit i
-    # per edge with an unlabelled end; touched: the edges at labelled vertices
-    free, used, undone, touched = (1 << two_q) - 1, 0, (1 << q) - 1, 0
-    # the explicit stack: each lower level's D, edge, untried mask and entry bitsets
-    stack: list[tuple[int, int, int, int, int, int, int]] = []
+    # per edge with an unlabelled end; opened: bit k per component with a label
+    free, used, undone, opened = (1 << two_q) - 1, 0, (1 << q) - 1, 0
+    stack: list[tuple[int, int, int, int, int, int, int]] = []  # the lower levels
     # this level: difference D placed on edge e, trying the placements in mask;
     # on a pair edge bit x puts x on the first end, bit 2q + x puts x on the second
     d_top, e, mask = two_q - 1, -1, 0
@@ -161,11 +158,10 @@ def exhaustive_search(
                 # no edge left for D: resume the level below past its placement
                 if not stack:
                     break
-                d_top, e, mask, free, used, undone, touched = stack.pop()
+                d_top, e, mask, free, used, undone, opened = stack.pop()
                 for v in edges[e]:
                     if free >> label[v] & 1:  # labelled at that level
                         label[v] = -1
-                        count[component[v]] -= 1
                 continue
             e += (rest & -rest).bit_length()
             a, b = edges[e]
@@ -175,7 +171,7 @@ def exhaustive_search(
             else:
                 mask = free & (free >> d_top)
                 k = component[a]
-                if count[k]:  # parity fixes the orientation of each x
+                if opened >> k & 1:  # parity fixes the orientation of each x
                     keep = evens if parity[k] == side[a] else ~evens
                     mask = mask & keep | (mask & ~keep) << two_q
                 else:  # the component's first pair: both orientations
@@ -196,16 +192,17 @@ def exhaustive_search(
             x -= two_q
             placing = ((a, x + d_top), (b, x))
         # every edge this placement completes must carry a new difference
-        new = used
+        new, done = used, 0
         for v, value in placing:
             label[v] = value
-            for w in neighbors[v]:
+            for w, edge in neighbors[v]:
                 c = label[w]
                 if c >= 0:
                     d = value - c if value > c else c - value
                     if new >> d & 1:
                         break
                     new |= 1 << d
+                    done |= edge
             else:
                 continue
             break
@@ -214,16 +211,14 @@ def exhaustive_search(
             if nodes > max_nodes or deadline is not None and time.perf_counter() > deadline:
                 status = SearchStatus.BUDGET_EXHAUSTED
                 break
-            stack.append((d_top, e, mask, free, used, undone, touched))
+            stack.append((d_top, e, mask, free, used, undone, opened))
             for v, value in placing:
                 free ^= 1 << value
-                undone &= ~(incident[v] & touched)
-                touched |= incident[v]
                 k = component[v]
-                if not count[k]:
+                if not opened >> k & 1:
+                    opened |= 1 << k
                     parity[k] = value & 1 ^ side[v]
-                count[k] += 1
-            used = new
+            used, undone = new, undone & ~done
             if used == odd:
                 status = SearchStatus.FOUND
                 break

@@ -113,6 +113,10 @@ class TestGenerate:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["q"] == 8
+        missing = tmp_path / "missing" / "labeling.json"
+        code, out, err = run(capsys, "generate", "--spec", "C4+P3", "--out", str(missing))
+        assert (code, out) == (64, "")
+        assert err.startswith(f"error: cannot write '{missing}': [Errno 2] ")
 
     def test_failed_writer_leaves_out_file(self, capsys, monkeypatch, tmp_path):
         target = tmp_path / "labeling.json"
@@ -139,12 +143,23 @@ class TestVerify:
     def test_duplicate_label_detected(self, capsys, tmp_path):
         target = tmp_path / "labeling.json"
         run(capsys, "generate", "--spec", "C4+P3", "--out", str(target))
-        document = json.loads(target.read_text())
-        document["vertices"][4]["label"] = 4  # v1 now collides with v2
-        target.write_text(json.dumps(document))
-        code, out, _ = run(capsys, "verify", "--input", str(target))
-        assert code == 1
-        assert "vertex label 4 shared by" in out
+        generated = target.read_text()
+        cases = (
+            (4, 4, ["vertex label 4 shared by"]),  # v1 now collides with v2
+            (0, 12, [  # u1's label is out of range
+                "  - vertex u1 has label 12 outside [0, 11]\n",
+                "  - edge label 1 induced by u1-u2, v2-v3\n",
+                "  - edge label 5 induced by u3-u4, u1-u4\n",
+                "  - missing odd edge labels: 7, 11\n",
+            ]),
+        )
+        for vertex, label, lines in cases:
+            document = json.loads(generated)
+            document["vertices"][vertex]["label"] = label
+            target.write_text(json.dumps(document))
+            code, out, _ = run(capsys, "verify", "--input", str(target))
+            assert code == 1
+            assert all(line in out for line in lines)
 
     def test_json_report(self, capsys, tmp_path):
         target = tmp_path / "labeling.json"
@@ -339,11 +354,15 @@ class TestBench:
     def test_zero_reps_is_usage_error(self, capsys):
         code, _, err = run(capsys, "bench", "--q-list", "50", "--reps", "0")
         assert code == 64
+        code, _, err = run(capsys, "bench", "--q-list", "50", "--reps", "x")
+        assert code == 64
+        assert "argument --reps: expected an integer, got 'x'" in err
 
     def test_bad_q_list(self, capsys):
-        code, _, err = run(capsys, "bench", "--q-list", "50,abc")
-        assert code == 64
-        assert "comma-separated" in err
+        for q_list, message in (("50,abc", "comma-separated"), (",", "--q-list is empty")):
+            code, _, err = run(capsys, "bench", "--q-list", q_list)
+            assert code == 64
+            assert message in err
 
     def test_out_file_with_stderr_summary(self, capsys, tmp_path):
         target = tmp_path / "bench.csv"

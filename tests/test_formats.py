@@ -476,6 +476,7 @@ class TestReportDict:
             "DuplicateEdgeLabel",
             "EdgeLabelSetIncomplete",
         ]
-        assert payload["violations"][1]["vertices"] == ["w1", "w2"]
+        written = json.loads(json.dumps(payload))  # tuples are written as JSON lists
+        assert written["violations"][1]["vertices"] == ["w1", "w2"]
         assert payload["violations"][3]["label"] == 7
-        assert payload["violations"][4]["missing"] == [1, 3, 5]
+        assert written["violations"][4]["missing"] == [1, 3, 5]

@@ -49,6 +49,11 @@ class TestOutcomes:
         outcome = exhaustive_search(SMALL_GRAPHS["C5"])
         assert outcome.status is SearchStatus.EXHAUSTED_NONE
 
+    def test_topology_without_edges_is_rejected(self):
+        topology = GraphTopology(names=("u1",), edges=(), m=0, n=0)
+        with pytest.raises(ValueError, match="search needs a topology with at least one edge"):
+            exhaustive_search(topology)
+
     def test_union_c4_p3_found(self):
         topology = build_union_graph(4, 3)
         outcome = exhaustive_search(topology)
