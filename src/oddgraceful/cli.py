@@ -164,10 +164,10 @@ def _cmd_generate(args) -> int:
         if not args.force:
             return EXIT_INVALID
     if args.format == "json":
-        pieces = document_pieces(topology, labeling, report.induced)
+        pieces = document_pieces(topology, labeling)
     else:
         writer = to_dot if args.format == "dot" else to_csv
-        pieces = [writer(topology, labeling, report.induced)]
+        pieces = [writer(topology, labeling)]
     _write_out(pieces, args.out)
     return EXIT_OK if report.is_odd_graceful else EXIT_INVALID
 

@@ -2,9 +2,10 @@
 
 The JSON document is the interchange format: ``generate`` writes it and
 ``verify`` reads it back. Vertices appear in topology order (u_1..u_m then
-v_1..v_n), edges likewise (cycle edges then path edges). Stored edge labels
-are derived data; verification always recomputes them from vertex labels, so
-a document with tampered vertex labels is judged on substance.
+v_1..v_n), edges likewise (cycle edges then path edges). Edge labels are
+derived data: each writer computes them from the vertex labels with
+``edge_labels``, which refuses a labeling without one label per vertex, and
+verification recomputes them, so tampered vertex labels are judged on substance.
 
 ``document_pieces`` writes a labeled topology's document, the bytes of
 ``json.dumps(document, indent=2)`` plus a newline (two-space indent, one
@@ -51,15 +52,12 @@ def _json_list(template: str, rows: Iterable[tuple]) -> Iterator[str]:
     yield "[]" if start == "[\n" else "\n  ]"
 
 
-def document_pieces(
-    topology: GraphTopology, labeling: Labeling, induced: tuple[int, ...] | None = None
-) -> Iterator[str]:
+def document_pieces(topology: GraphTopology, labeling: Labeling) -> Iterator[str]:
     """:func:`document_to_json` in pieces of at most ``_PIECE`` list entries.
-    The name and edge-label tables are built before the first piece;
-    ``induced`` is the edge labels, when they are already known."""
+    The name and edge-label tables are built before the first piece, so a
+    labeling of the wrong length raises before anything is written."""
     names = [_encode_str(name) for name in topology.names]
-    if induced is None:
-        induced = edge_labels(topology, labeling)
+    induced = edge_labels(topology, labeling)
     yield _HEADER % (topology.m, topology.n, topology.q)
     yield from _json_list(_VERTEX, zip(names, labeling))
     yield ',\n  "edges": '
@@ -224,11 +222,10 @@ def parse_labeling_document(text: str) -> tuple[GraphTopology, Labeling]:
     return union, tuple(labels)
 
 
-def to_dot(topology: GraphTopology, labeling: Labeling, induced: tuple | None = None) -> str:
+def to_dot(topology: GraphTopology, labeling: Labeling) -> str:
     """Undirected DOT text; node display is ``id:label``, edges carry their label."""
     names = topology.names
-    if induced is None:
-        induced = edge_labels(topology, labeling)
+    induced = edge_labels(topology, labeling)
     lines = ["graph G {"]
     lines.extend(f'  {name} [label="{name}:{label}"];' for name, label in zip(names, labeling))
     lines.extend(
@@ -239,11 +236,10 @@ def to_dot(topology: GraphTopology, labeling: Labeling, induced: tuple | None = 
     return "\n".join(lines) + "\n"
 
 
-def to_csv(topology: GraphTopology, labeling: Labeling, induced: tuple | None = None) -> str:
+def to_csv(topology: GraphTopology, labeling: Labeling) -> str:
     """Vertex section then edge section; edges are numbered e1..eq in edge order."""
     names = topology.names
-    if induced is None:
-        induced = edge_labels(topology, labeling)
+    induced = edge_labels(topology, labeling)
     lines = ["vertex,label"]
     lines.extend(f"{name},{label}" for name, label in zip(names, labeling))
     lines.append("edge,from,to,label")

@@ -66,10 +66,11 @@ def check_union_size(m: int, n: int, required: int) -> None:
         if required == 1:
             message = f"path length must be at least 1, got {n}"
         else:
+            # search refuses a P1 term, which has no edges
+            advice = "search may still find a labeling" if n > 1 else "generate --force builds it"
             message = (
                 f"C{m}+P{n} is out of range for this construction: need n >= {required}"
-                " (the bound limits the construction, not odd gracefulness;"
-                " search may still find a labeling)"
+                f" (the bound limits the construction, not odd gracefulness; {advice})"
             )
         raise PathTooShortError(message, required=required)
 

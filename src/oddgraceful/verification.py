@@ -11,7 +11,7 @@ code certifies search results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .errors import MissingVertexLabelError
@@ -86,20 +86,15 @@ Violation = Union[
 class VerificationReport:
     is_odd_graceful: bool
     violations: tuple[Violation, ...]
-    # the edge labels the checks computed, in edge order, for a writer to reuse
-    induced: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
 
-def _require_total(topology: GraphTopology, labeling: Labeling) -> None:
+def edge_labels(topology: GraphTopology, labeling: Labeling) -> tuple[int, ...]:
+    """Induced |f(a) - f(b)| per edge, in the topology's edge order, for a
+    ``labeling`` of exactly one label per vertex of ``topology``."""
     if len(labeling) != len(topology.names):
         raise MissingVertexLabelError(
             f"labeling has {len(labeling)} labels for {len(topology.names)} vertices"
         )
-
-
-def edge_labels(topology: GraphTopology, labeling: Labeling) -> tuple[int, ...]:
-    """Induced |f(a) - f(b)| per edge, in the topology's edge order."""
-    _require_total(topology, labeling)
     return tuple(abs(labeling[a] - labeling[b]) for a, b in topology.edges)
 
 
@@ -122,9 +117,9 @@ def verify_odd_graceful(topology: GraphTopology, labeling: Labeling) -> Verifica
         and len(set(labeling)) == len(labeling)
         and set(induced) == set(range(1, upper + 1, 2))
     ):
-        return VerificationReport(True, (), induced)
+        return VerificationReport(is_odd_graceful=True, violations=())
     violations = _violations(topology, labeling, induced)
-    return VerificationReport(not violations, tuple(violations), induced)
+    return VerificationReport(is_odd_graceful=not violations, violations=tuple(violations))
 
 
 def _violations(

@@ -13,6 +13,7 @@ import pytest
 
 from oddgraceful import cli
 from oddgraceful.cli import build_parser, main
+from oddgraceful.construction import closed_form_labeling, min_path_length
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -57,6 +58,48 @@ class TestGenerate:
         assert code == 1
         assert out == ""
         assert "need n >= 7" in err
+
+    @pytest.mark.parametrize("spec, expected", [
+        ("C4+P1", "error: C4+P1 is out of range for this construction: need n >= 3"
+         " (the bound limits the construction, not odd gracefulness;"
+         " generate --force builds it)\n"),
+        ("C10+P6", "error: C10+P6 is out of range for this construction: need n >= 7"
+         " (the bound limits the construction, not odd gracefulness;"
+         " search may still find a labeling)\n"),
+    ], ids=["C4+P1", "C10+P6"])
+    def test_out_of_range_message(self, capsys, spec, expected):
+        assert run(capsys, "generate", "--spec", spec) == (1, "", expected)
+
+    def test_out_of_range_advice_takes_the_spec(self, capsys):
+        # every cell below the bound names only commands that accept its spec
+        commands = {
+            "search may still find": ("search", "--max-nodes", "1"),
+            "generate --force builds": ("generate", "--force", "--out", os.devnull),
+        }
+        for m in range(4, 21, 2):
+            for n in range(1, min_path_length(m)):
+                spec = f"C{m}+P{n}"
+                code, _, err = run(capsys, "generate", "--spec", spec)
+                assert code == 1 and "out of range" in err, spec
+                named = [argv for advice, argv in commands.items() if advice in err]
+                assert len(named) == 1, err
+                command, *options = named[0]
+                code, _, err = run(capsys, command, "--spec", spec, *options)
+                assert code in (0, 1, 2, 3) and not err.startswith("error:"), (spec, err)
+
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out-file"])
+    def test_in_range_failure_writes_nothing(self, capsys, monkeypatch, tmp_path, out):
+        def duplicate(params):
+            labeling = closed_form_labeling(params)
+            return labeling[:-1] + labeling[:1]  # the last vertex repeats the first label
+
+        monkeypatch.setattr(cli, "closed_form_labeling", duplicate)
+        target = tmp_path / "labeling.json"
+        argv = ["generate", "--spec", "C8+P7"] + (["--out", str(target)] if out else [])
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        assert err.startswith("verification failed (")
+        assert not target.exists()
 
     def test_force_serializes_and_reports(self, capsys):
         code, out, err = run(capsys, "generate", "--spec", "C10+P6", "--force")

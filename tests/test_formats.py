@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from oddgraceful import (
     DocumentError,
     GraphTopology,
+    MissingVertexLabelError,
     SearchStatus,
     algorithmic_labeling,
     build_union_graph,
@@ -160,6 +161,18 @@ class TestGoldenOutputs:
         first = document_to_json(*c4p3)
         second = document_to_json(*c4p3)
         assert first == second
+
+    # document_pieces raises at its first piece, before generate opens any file
+    @pytest.mark.parametrize(
+        "render",
+        [document_to_json, lambda *args: next(formats.document_pieces(*args)), to_dot, to_csv],
+        ids=["document_to_json", "document_pieces", "to_dot", "to_csv"],
+    )
+    @pytest.mark.parametrize("length", [0, 3, 8])
+    def test_labeling_of_the_wrong_length(self, c4p3, render, length):
+        topology, labeling = c4p3
+        with pytest.raises(MissingVertexLabelError, match=f"has {length} labels for 7 "):
+            render(topology, (labeling + (13,))[:length])
 
 
 def reference_document(topology, labeling):
