@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain
 from typing import Iterable
 
 from .bench import bench_csv, fit, run_bench
@@ -22,19 +21,15 @@ from .construction import (
     force_params,
     validate_params,
 )
-from .errors import (
-    DocumentError,
-    GraphSpecError,
-    OddGracefulError,
-)
+from .errors import DocumentError, GraphSpecError, OddGracefulError
 from .formats import (
-    document_pieces,
+    WRITERS,
     document_to_json,  # unused here, but perfbench/tracing.py wraps it under this name
     labeling_document,  # likewise
     parse_labeling_document,
     report_to_dict,
-    to_csv,
-    to_dot,
+    to_csv,  # likewise
+    to_dot,  # likewise
 )
 # build_free_graph is unused here, but perfbench/tracing.py wraps it under this name
 from .graphs import build_free_graph, build_union_graph
@@ -81,7 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=list(METHODS), default="closed",
         help="construction route (default: closed)",
     )
-    gen.add_argument("--format", choices=["json", "dot", "csv"], default="json")
+    gen.add_argument(
+        "--format", choices=list(WRITERS), default="json",
+        help="output format (default: json)",
+    )
     gen.add_argument(
         "--force", action="store_true",
         help="construct even when (m, n) is out of range; the result is still verified",
@@ -127,14 +125,14 @@ def _print_stderr(line: str) -> None:
 
 
 def _write_out(pieces: Iterable[str], path: str | None) -> None:
-    """Write the text's pieces one at a time. The first is taken before the
-    file is opened, so a writer that fails before it leaves the file as it was."""
-    pieces = iter(pieces)
-    first = next(pieces)
+    """Write the text's pieces one at a time. For a file the first is taken
+    before it is opened, so a writer that fails before it leaves the file as it was."""
     if path is None:
-        for piece in chain((first,), pieces):
+        for piece in pieces:
             print(piece, end="")  # like every print, skipped when stdout is closed
         return
+    pieces = iter(pieces)
+    first = next(pieces)
     try:
         with open(path, "w") as out:
             out.write(first)
@@ -163,12 +161,7 @@ def _cmd_generate(args) -> int:
             _print_stderr(f"  - {violation.describe()}")
         if not args.force:
             return EXIT_INVALID
-    if args.format == "json":
-        pieces = document_pieces(topology, labeling)
-    else:
-        writer = to_dot if args.format == "dot" else to_csv
-        pieces = [writer(topology, labeling)]
-    _write_out(pieces, args.out)
+    _write_out(WRITERS[args.format](topology, labeling), args.out)
     return EXIT_OK if report.is_odd_graceful else EXIT_INVALID
 
 

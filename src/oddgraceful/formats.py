@@ -9,9 +9,10 @@ verification recomputes them, so tampered vertex labels are judged on substance.
 
 ``document_pieces`` writes a labeled topology's document, the bytes of
 ``json.dumps(document, indent=2)`` plus a newline (two-space indent, one
-field per line, non-ASCII escaped), in pieces of at most a few thousand list
-entries; ``generate`` writes them one at a time, and ``document_to_json`` is
-their join. ``labeling_document`` is the document's parse.
+field per line, non-ASCII escaped), in pieces of a few thousand entries, as
+``dot_pieces`` and ``csv_pieces`` write DOT and CSV; ``document_to_json``,
+``to_dot`` and ``to_csv`` are their joins, and ``generate`` takes its writer
+from ``WRITERS``. ``labeling_document`` is the document's parse.
 ``parse_labeling_document`` accepts any JSON layout and returns
 ``build_union_graph(m, n)`` for a union document. It reads the bytes
 ``generate`` writes by writing them again, comparing each piece with the
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 from .errors import DocumentError, OddGracefulError
@@ -39,7 +40,7 @@ _HEADER = '{\n  "graph": {\n    "m": %d,\n    "n": %d\n  },\n  "q": %d,\n  "vert
 _VERTEX = '    {\n      "id": %s,\n      "label": %d\n    }'
 _EDGE = '    {\n      "from": %s,\n      "to": %s,\n      "label": %d\n    }'
 _encode_str = json.encoder.encode_basestring_ascii
-_PIECE = 4096  # list entries per piece of the document
+_PIECE = 4096  # list entries, or lines, per piece of a text
 
 
 def _json_list(template: str, rows: Iterable[tuple]) -> Iterator[str]:
@@ -222,32 +223,50 @@ def parse_labeling_document(text: str) -> tuple[GraphTopology, Labeling]:
     return union, tuple(labels)
 
 
-def to_dot(topology: GraphTopology, labeling: Labeling) -> str:
-    """Undirected DOT text; node display is ``id:label``, edges carry their label."""
+def _line_pieces(*sections: Iterable[str]) -> Iterator[str]:
+    """The sections' lines, each ended by a newline, in pieces of at most ``_PIECE`` lines."""
+    lines = chain(*sections)
+    while piece := list(islice(lines, _PIECE)):
+        yield "\n".join(piece) + "\n"
+
+
+def dot_pieces(topology: GraphTopology, labeling: Labeling) -> Iterator[str]:
+    """:func:`to_dot` in pieces; the edge labels are computed before the first piece."""
     names = topology.names
     induced = edge_labels(topology, labeling)
-    lines = ["graph G {"]
-    lines.extend(f'  {name} [label="{name}:{label}"];' for name, label in zip(names, labeling))
-    lines.extend(
-        f"  {names[a]} -- {names[b]} [label={value}];"
-        for (a, b), value in zip(topology.edges, induced)
+    yield from _line_pieces(
+        ["graph G {"],
+        (f'  {name} [label="{name}:{label}"];' for name, label in zip(names, labeling)),
+        (f"  {names[a]} -- {names[b]} [label={value}];"
+         for (a, b), value in zip(topology.edges, induced)),
+        ["}"],
     )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+
+
+def to_dot(topology: GraphTopology, labeling: Labeling) -> str:
+    """Undirected DOT text; node display is ``id:label``, edges carry their label."""
+    return "".join(dot_pieces(topology, labeling))
+
+
+def csv_pieces(topology: GraphTopology, labeling: Labeling) -> Iterator[str]:
+    """:func:`to_csv` in pieces; the edge labels are computed before the first piece."""
+    names = topology.names
+    induced = edge_labels(topology, labeling)
+    yield from _line_pieces(
+        ["vertex,label"],
+        (f"{name},{label}" for name, label in zip(names, labeling)),
+        ["edge,from,to,label"],
+        (f"e{index},{names[a]},{names[b]},{value}"
+         for index, ((a, b), value) in enumerate(zip(topology.edges, induced), start=1)),
+    )
 
 
 def to_csv(topology: GraphTopology, labeling: Labeling) -> str:
     """Vertex section then edge section; edges are numbered e1..eq in edge order."""
-    names = topology.names
-    induced = edge_labels(topology, labeling)
-    lines = ["vertex,label"]
-    lines.extend(f"{name},{label}" for name, label in zip(names, labeling))
-    lines.append("edge,from,to,label")
-    lines.extend(
-        f"e{index},{names[a]},{names[b]},{value}"
-        for index, ((a, b), value) in enumerate(zip(topology.edges, induced), start=1)
-    )
-    return "\n".join(lines) + "\n"
+    return "".join(csv_pieces(topology, labeling))
+
+
+WRITERS = {"json": document_pieces, "dot": dot_pieces, "csv": csv_pieces}  # by --format name
 
 
 def violation_to_dict(violation) -> dict:

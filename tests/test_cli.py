@@ -161,16 +161,18 @@ class TestGenerate:
         assert (code, out) == (64, "")
         assert err.startswith(f"error: cannot write '{missing}': [Errno 2] ")
 
-    def test_failed_writer_leaves_out_file(self, capsys, monkeypatch, tmp_path):
-        target = tmp_path / "labeling.json"
+    @pytest.mark.parametrize("form", ["json", "dot", "csv"])
+    def test_failed_writer_leaves_out_file(self, capsys, monkeypatch, tmp_path, form):
+        target = tmp_path / f"labeling.{form}"
         target.write_text("old\n")
 
         def fail(*args):
             raise MemoryError  # as building the name and edge-label tables can
             yield
 
-        monkeypatch.setattr(cli, "document_pieces", fail)
-        code, out, err = run(capsys, "generate", "--spec", "C8+P7", "--out", str(target))
+        monkeypatch.setitem(cli.WRITERS, form, fail)
+        argv = ["generate", "--spec", "C8+P7", "--format", form, "--out", str(target)]
+        code, out, err = run(capsys, *argv)
         assert (code, out, err) == (1, "", "error: input too large: out of memory\n")
         assert target.read_text() == "old\n"
 
@@ -470,6 +472,22 @@ class TestMemory:
         for command, (_, times) in commands.items():
             assert peaks[command] < times * size, (command, peaks[command] / size)
 
+    def test_every_format_takes_the_memory_of_json(self, tmp_path):
+        # q = 100,000; DOT and CSV are written in pieces, as the JSON document is
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for form in ("json", "csv", "dot"):
+                argv = ["generate", "--spec", "C8+P99993", "--format", form]
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                assert main([*argv, "--out", str(tmp_path / f"labeling.{form}")]) == 0
+                peaks[form] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        for form in ("csv", "dot"):
+            assert peaks[form] <= 1.1 * peaks["json"], (form, peaks[form] / peaks["json"])
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):
@@ -618,7 +636,10 @@ SURFACE = {
             ("--method",), "method", "closed", ("closed", "algorithmic"), False, None,
             "construction route (default: closed)",
         ),
-        (("--format",), "format", "json", ("json", "dot", "csv"), False, None, None),
+        (
+            ("--format",), "format", "json", ("json", "dot", "csv"), False, None,
+            "output format (default: json)",
+        ),
         (
             ("--force",), "force", False, None, False, None,
             "construct even when (m, n) is out of range; the result is still verified",

@@ -162,11 +162,15 @@ class TestGoldenOutputs:
         second = document_to_json(*c4p3)
         assert first == second
 
-    # document_pieces raises at its first piece, before generate opens any file
+    # each writer's pieces raise at the first, before generate opens any file
     @pytest.mark.parametrize(
         "render",
-        [document_to_json, lambda *args: next(formats.document_pieces(*args)), to_dot, to_csv],
-        ids=["document_to_json", "document_pieces", "to_dot", "to_csv"],
+        [
+            document_to_json, lambda *args: next(formats.document_pieces(*args)), to_dot, to_csv,
+            lambda *args: next(formats.dot_pieces(*args)),
+            lambda *args: next(formats.csv_pieces(*args)),
+        ],
+        ids=["document_to_json", "document_pieces", "to_dot", "to_csv", "dot_pieces", "csv_pieces"],
     )
     @pytest.mark.parametrize("length", [0, 3, 8])
     def test_labeling_of_the_wrong_length(self, c4p3, render, length):
@@ -304,6 +308,72 @@ class TestPieces:
         # header, vertices, edges and the closings
         assert entries == [0, PIECE, PIECE, 3, 0, 0, PIECE, PIECE, 2, 0, 0]
         assert "".join(pieces) == document_to_json(topology, labeling)
+
+
+def reference_dot(topology, labeling):
+    """DOT text written line by line, apart from the writer."""
+    names = topology.names
+    text = "graph G {\n"
+    for name, label in zip(names, labeling):
+        text += '  %s [label="%s:%d"];\n' % (name, name, label)
+    for (a, b), value in zip(topology.edges, edge_labels(topology, labeling)):
+        text += "  %s -- %s [label=%d];\n" % (names[a], names[b], value)
+    return text + "}\n"
+
+
+def reference_csv(topology, labeling):
+    """CSV text written line by line, apart from the writer."""
+    names = topology.names
+    text = "vertex,label\n"
+    for name, label in zip(names, labeling):
+        text += "%s,%d\n" % (name, label)
+    text += "edge,from,to,label\n"
+    edges = zip(topology.edges, edge_labels(topology, labeling))
+    for index, ((a, b), value) in enumerate(edges, start=1):
+        text += "e%d,%s,%s,%d\n" % (index, names[a], names[b], value)
+    return text
+
+
+TEXT_WRITERS = {
+    "dot": (formats.dot_pieces, to_dot, reference_dot),
+    "csv": (formats.csv_pieces, to_csv, reference_csv),
+}
+
+
+class TestTextPieces:
+    """DOT and CSV where their lines split into pieces: the pieces join to the
+    reference text, and none holds more than ``_PIECE`` lines."""
+
+    def assert_pieces(self, form, topology, labeling):
+        pieces_of, join, reference = TEXT_WRITERS[form]
+        pieces = list(pieces_of(topology, labeling))
+        expected = reference(topology, labeling)
+        assert "".join(pieces) == expected
+        assert join(topology, labeling) == expected
+        assert all(piece.endswith("\n") for piece in pieces)
+        assert max(piece.count("\n") for piece in pieces) <= PIECE
+
+    @pytest.mark.parametrize("form", list(TEXT_WRITERS))
+    @pytest.mark.parametrize("graph", [union_of, free_path], ids=["union", "free"])
+    @pytest.mark.parametrize("count", [PIECE - 1, PIECE, PIECE + 1, 2 * PIECE])
+    @pytest.mark.parametrize("entries", ["vertices", "edges"])
+    def test_bytes_at_piece_boundaries(self, form, graph, count, entries):
+        # a union and a path have one edge fewer than vertices
+        topology, labeling = graph(count if entries == "vertices" else count + 1)
+        assert len(getattr(topology, "names" if entries == "vertices" else "edges")) == count
+        self.assert_pieces(form, topology, labeling)
+
+    @pytest.mark.parametrize("form", list(TEXT_WRITERS))
+    @pytest.mark.parametrize("graph", [union_of(7), free_path(2)], ids=["union", "free"])
+    def test_empty_edge_list(self, form, graph):
+        self.assert_pieces(form, replace(graph[0], edges=()), graph[1])
+
+    @pytest.mark.parametrize("form", list(TEXT_WRITERS))
+    def test_pieces_hold_at_most_piece_lines(self, form):
+        topology, labeling = union_of(2 * PIECE + 3)
+        pieces = list(TEXT_WRITERS[form][0](topology, labeling))
+        # 16,391 lines: the sections run on across pieces, and only the last is short
+        assert [piece.count("\n") for piece in pieces] == [PIECE] * 4 + [7]
 
 
 class TestRoundTrip:
