@@ -12,14 +12,16 @@ every vertex of k's parity moves 2 further along its family, so the edge
 labels jump over 2q - 3m + 5.
 
 ``closed_form_labeling`` evaluates per-index formulas; ``algorithmic_labeling``
-streams the same labels the way a single traversal would, seeded by the two
-marker values above. Both are pure functions of the params and must agree
-pointwise -- the test suite enforces that equivalence.
+walks the cycle and the path as two zigzags over falling runs of odd
+differences, seeded by the two markers above. Both are pure functions of
+the params and must agree pointwise -- the test suite enforces that.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import accumulate, islice
 
 from .graphs import Labeling, check_union_size
 
@@ -136,47 +138,42 @@ def closed_form_labeling(params: ConstructionParams) -> Labeling:
     return label_cycle_vertices(params) + label_path_vertices(params)
 
 
+def _zigzag(start: int, differences: Iterable[int]) -> Labeling:
+    """Labels from ``start``, up by the first difference, down by the next, and so on."""
+    steps = list(differences)
+    steps[1::2] = [-step for step in steps[1::2]]
+    return tuple(accumulate(steps, initial=start))
+
+
 def cycle_pass(params: ConstructionParams, markers: Markers) -> tuple[Labeling, tuple[int, ...]]:
     """Label u_1..u_m by walking the cycle once; returns (vertex labels, edge labels).
 
-    Odd positions step +2 from u_1 = 0, even positions count down from 2q-1,
-    and u_m takes the active marker; edge labels are the absolute differences
-    e_1..e_m (e_m closing the cycle back to u_1). Pointwise identical to
-    :func:`label_cycle_vertices`.
+    u_1..u_{m-1} zigzag from 0 over the falling run of odd differences from
+    2q-1 down to just above the active marker, and u_m takes the active
+    marker. Edge labels are the absolute differences e_1..e_m (e_m closing
+    the cycle back to u_1); for validated params e_{m-1} is the double-jump
+    value. Pointwise identical to :func:`label_cycle_vertices`.
     """
-    q, m = params.q, params.m
-    labels = [0] * m
-    # 0-based: even indices hold u_1, u_3, ..., odd indices u_2, u_4, ...
-    for i in range(2, m, 2):
-        labels[i] = labels[i - 2] + 2
-    for i in range(1, m - 1, 2):
-        labels[i] = 2 * q - i
-    labels[m - 1] = markers.active_vertex_label
+    m, active = params.m, markers.active_vertex_label
+    labels = _zigzag(0, range(2 * params.q - 1, active, -2)) + (active,)
     edge_values = tuple(abs(labels[i] - labels[(i + 1) % m]) for i in range(m))
-    return tuple(labels), edge_values
+    return labels, edge_values
 
 
 def path_pass(params: ConstructionParams, markers: Markers) -> tuple[Labeling, tuple[int, ...]]:
     """Label v_1..v_n and the path edges in one sweep; returns (vertex labels, edge labels).
 
-    Edge labels descend by 2 from the active marker; when the descent would
-    land on the double-jump value it steps by 4 instead (this fires at most
-    once, since the sequence is strictly decreasing). Vertex labels alternate
-    v_{j+1} = v_j + edge for odd j and v_j - edge for even j, which keeps odd
-    positions small and odd, even positions large and even. Pointwise
-    identical to :func:`label_path_vertices`.
+    The edge labels are the falling run of odd values below the active
+    marker, without the double-jump value, which the cycle already uses; the
+    first n - 1 of them label the path. The vertex labels zigzag from 1 over
+    those edge labels, which keeps odd positions small and odd, even
+    positions large and even. Pointwise identical to
+    :func:`label_path_vertices`.
     """
-    labels = [1]
-    edge_values: list[int] = []
-    # starts at the auxiliary edge value ahead of the first real path edge
-    value = markers.active_vertex_label
-    for j in range(1, params.n):
-        value -= 2
-        if value == markers.double_jump_edge_label:
-            value -= 2
-        labels.append(labels[-1] + value if j % 2 else labels[-1] - value)
-        edge_values.append(value)
-    return tuple(labels), tuple(edge_values)
+    jump = markers.double_jump_edge_label
+    run = range(markers.active_vertex_label - 2, 0, -2)
+    edge_values = tuple(islice((value for value in run if value != jump), params.n - 1))
+    return _zigzag(1, edge_values), edge_values
 
 
 def algorithmic_labeling(params: ConstructionParams) -> Labeling:

@@ -169,7 +169,8 @@ class TestPasses:
     def test_path_pass_skip_fires_immediately_for_m4(self):
         params = validate_params(4, 3)
         vertex_labels, edge_values = path_pass(params, init_markers(params))
-        # tentative first edge value 5 collides with the double-jump value
+        # 5, the first odd value below the active marker 7, is the double-jump
+        # value and is left out
         assert edge_values == (3, 1)
         assert vertex_labels[1] == 4
         assert vertex_labels[2] == 3
@@ -196,8 +197,12 @@ class TestPasses:
         for m, n in below_bound_cells(40):
             params = force_params(m, n)
             markers = init_markers(params)
-            assert cycle_pass(params, markers)[0] == label_cycle_vertices(params), (m, n)
-            assert path_pass(params, markers)[0] == label_path_vertices(params), (m, n)
+            cycle_labels, cycle_edges = cycle_pass(params, markers)
+            path_labels, path_edges = path_pass(params, markers)
+            assert cycle_labels == label_cycle_vertices(params), (m, n)
+            assert path_labels == label_path_vertices(params), (m, n)
+            closed_edges = edge_labels(build_union_graph(m, n), closed_form_labeling(params))
+            assert cycle_edges + path_edges == closed_edges, (m, n)
 
 
 class TestRouteEquivalence:
@@ -288,7 +293,7 @@ class TestStructuralProperties:
         assert all(value % 2 == 1 for value in values)
         steps = [values[i] - values[i + 1] for i in range(len(values) - 1)]
         if m == 4:
-            # the skip fires before the first edge, lowering the start instead
+            # the double-jump value is the first of the run, so the path starts below it
             assert values[0] == 2 * q - 2 * m - 1
             assert all(step == 2 for step in steps)
         else:
