@@ -172,7 +172,7 @@ def _cmd_verify(args) -> int:
     if args.json:
         print(json.dumps(report_to_dict(report, topology.q), indent=2))
     elif report.is_odd_graceful:
-        print(f"odd graceful: yes ({len(topology.names)} vertices, q={topology.q})")
+        print(f"odd graceful: yes ({topology.p} vertices, q={topology.q})")
     else:
         print(f"odd graceful: NO ({_count(report.violations)})")
         for violation in report.violations:

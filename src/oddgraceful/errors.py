@@ -44,5 +44,9 @@ class GraphSpecError(OddGracefulError):
         self.offset = offset
 
 
+class InputTooLargeError(OddGracefulError):
+    """An input past a size the program refuses before it allocates anything."""
+
+
 class DocumentError(OddGracefulError):
     """Malformed labeling document or edge-list file."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import chain, islice
+from itertools import chain, count, islice
 from typing import Iterable, Iterator
 
 from .errors import DocumentError, OddGracefulError
@@ -35,19 +35,17 @@ from .verification import VerificationReport, edge_labels
 _VERTEX_ID = re.compile(r"[uvw][1-9][0-9]*")
 
 
-# json.dumps(document, indent=2), with a slot for each field value
+# json.dumps(document, indent=2) up to the vertex list, with a slot for each size
 _HEADER = '{\n  "graph": {\n    "m": %d,\n    "n": %d\n  },\n  "q": %d,\n  "vertices": '
-_VERTEX = '    {\n      "id": %s,\n      "label": %d\n    }'
-_EDGE = '    {\n      "from": %s,\n      "to": %s,\n      "label": %d\n    }'
 _encode_str = json.encoder.encode_basestring_ascii
 _PIECE = 4096  # list entries, or lines, per piece of a text
 
 
-def _json_list(template: str, rows: Iterable[tuple]) -> Iterator[str]:
-    """An indented JSON list of ``template % row``, in pieces of at most ``_PIECE`` rows."""
-    rows = iter(rows)
+def _json_list(entries: Iterable[str]) -> Iterator[str]:
+    """An indented JSON list of the written ``entries``, in pieces of at most ``_PIECE``."""
+    entries = iter(entries)
     start = "[\n"
-    while piece := [template % row for row in islice(rows, _PIECE)]:
+    while piece := list(islice(entries, _PIECE)):
         yield start + ",\n".join(piece)
         start = ",\n"
     yield "[]" if start == "[\n" else "\n  ]"
@@ -57,13 +55,18 @@ def document_pieces(topology: GraphTopology, labeling: Labeling) -> Iterator[str
     """:func:`document_to_json` in pieces of at most ``_PIECE`` list entries.
     The name and edge-label tables are built before the first piece, so a
     labeling of the wrong length raises before anything is written."""
-    names = [_encode_str(name) for name in topology.names]
+    names = list(map(_encode_str, topology.names))
     induced = edge_labels(topology, labeling)
     yield _HEADER % (topology.m, topology.n, topology.q)
-    yield from _json_list(_VERTEX, zip(names, labeling))
+    yield from _json_list(
+        f'    {{\n      "id": {name},\n      "label": {label}\n    }}'
+        for name, label in zip(names, labeling)
+    )
     yield ',\n  "edges": '
-    edges = ((names[a], names[b], value) for (a, b), value in zip(topology.edges, induced))
-    yield from _json_list(_EDGE, edges)
+    yield from _json_list(
+        f'    {{\n      "from": {a},\n      "to": {b},\n      "label": {value}\n    }}'
+        for a, b, value in zip(*topology.ends(names), induced)
+    )
     yield "\n}\n"
 
 
@@ -72,9 +75,9 @@ def document_to_json(topology: GraphTopology, labeling: Labeling) -> str:
 
     The bytes are those of ``json.dumps(document, indent=2)`` for the
     document with the sizes, q, one ``{id, label}`` object per vertex and
-    one ``{from, to, label}`` object per edge. Ints are written with ``%d``
+    one ``{from, to, label}`` object per edge. Ints are written in decimal
     and names with ``encode_basestring_ascii``, the C function
-    ``json.dumps`` uses, into fixed templates, because ``json.dumps`` with
+    ``json.dumps`` uses, into fixed f-strings, because ``json.dumps`` with
     an indent runs its pure-Python encoder on every entry. The text is the
     join of :func:`document_pieces`, which ``generate`` writes one at a time.
     """
@@ -237,8 +240,7 @@ def dot_pieces(topology: GraphTopology, labeling: Labeling) -> Iterator[str]:
     yield from _line_pieces(
         ["graph G {"],
         (f'  {name} [label="{name}:{label}"];' for name, label in zip(names, labeling)),
-        (f"  {names[a]} -- {names[b]} [label={value}];"
-         for (a, b), value in zip(topology.edges, induced)),
+        (f"  {a} -- {b} [label={value}];" for a, b, value in zip(*topology.ends(names), induced)),
         ["}"],
     )
 
@@ -256,8 +258,8 @@ def csv_pieces(topology: GraphTopology, labeling: Labeling) -> Iterator[str]:
         ["vertex,label"],
         (f"{name},{label}" for name, label in zip(names, labeling)),
         ["edge,from,to,label"],
-        (f"e{index},{names[a]},{names[b]},{value}"
-         for index, ((a, b), value) in enumerate(zip(topology.edges, induced), start=1)),
+        (f"e{index},{a},{b},{value}"
+         for index, a, b, value in zip(count(1), *topology.ends(names), induced)),
     )
 
 

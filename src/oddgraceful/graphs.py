@@ -7,12 +7,20 @@ text: cycle vertices are ``u1..um``, path vertices ``v1..vn``, and free
 vertices (arbitrary graphs fed to the search oracle) ``w1, w2, ...``. The
 edge list keeps construction order (cycle edges first, then path edges), so
 repeated builds with equal inputs are identical.
+
+A union C_m + P_n stores only m and n: its names and edges follow from them,
+and ``ends`` gives any per-vertex column at the edges' two ends as slices of
+that column, so the verifier and the writers never build the edge list. Only
+free graphs, which come from outside the program, store their names and
+edges, and only they are checked on construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import chain
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from .errors import (
     CycleTooSmallError,
@@ -29,7 +37,8 @@ Labeling = tuple[int, ...]
 
 @dataclass(frozen=True)
 class GraphTopology:
-    """Immutable vertex/edge structure; ``m`` and ``n`` are 0 for free graphs."""
+    """Immutable vertex/edge structure; ``m`` and ``n`` are 0 for free graphs,
+    and ``p`` and ``q`` count the vertices and the edges."""
 
     names: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]
@@ -46,8 +55,55 @@ class GraphTopology:
                 raise ValueError(f"edge ({a}, {b}) is not an index pair i < j into the vertices")
 
     @property
+    def p(self) -> int:
+        return len(self.names)
+
+    @property
     def q(self) -> int:
         return len(self.edges)
+
+    def ends(self, column: Sequence) -> tuple[Iterable, Iterable]:
+        """The entries of a per-vertex ``column`` at each edge's first and at
+        its second end, in edge order."""
+        at = column.__getitem__
+        return map(at, map(itemgetter(0), self.edges)), map(at, map(itemgetter(1), self.edges))
+
+
+class UnionTopology(GraphTopology):
+    """C_m + P_n, holding only m and n; ``names`` and ``edges`` are computed
+    on each access."""
+
+    def __new__(cls, names, edges, m, n):
+        # dataclasses.replace calls the class with every field; a changed
+        # field is no longer this union, so the result stores its tuples
+        return GraphTopology(names, edges, m, n)
+
+    def __reduce__(self):  # copy and pickle rebuild it from its sizes
+        return build_union_graph, (self.m, self.n)
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return (*map("u{}".format, range(1, self.m + 1)), *map("v{}".format, range(1, self.n + 1)))
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(*self.ends(range(self.m + self.n))))
+
+    @property
+    def p(self) -> int:
+        return self.m + self.n
+
+    @property
+    def q(self) -> int:
+        return self.m + self.n - 1
+
+    def ends(self, column: Sequence) -> tuple[Iterable, Iterable]:
+        # the cycle's edges (i, i + 1), its closing edge (0, m - 1), the path's (j, j + 1)
+        m = self.m
+        return (
+            chain(column[:m - 1], column[:1], column[m:-1]),
+            chain(column[1:m], column[m - 1:m], column[m + 1:]),
+        )
 
 
 def check_union_size(m: int, n: int, required: int) -> None:
@@ -82,15 +138,13 @@ def build_union_graph(m: int, n: int) -> GraphTopology:
     (u1u2, ..., u(m-1)um, u1um) followed by the n-1 path edges. Only the
     topology-level constraints are enforced here (m even and at least 4,
     n at least 1); the constructor applies its stronger path-length bound,
-    so out-of-range instances remain representable for study.
+    so out-of-range instances remain representable for study. The result
+    holds m and n alone, so building it takes the same time for any size.
     """
     check_union_size(m, n, 1)
-    names = [f"u{i}" for i in range(1, m + 1)]
-    names.extend(f"v{j}" for j in range(1, n + 1))
-    edges = [(i, i + 1) for i in range(m - 1)]
-    edges.append((0, m - 1))
-    edges.extend((j, j + 1) for j in range(m, m + n - 1))
-    return GraphTopology(names=tuple(names), edges=tuple(edges), m=m, n=n)
+    union = object.__new__(UnionTopology)
+    vars(union).update(m=m, n=n)
+    return union
 
 
 def build_free_graph(edge_list: Iterable[tuple[int, int]]) -> GraphTopology:

@@ -26,12 +26,16 @@ from .errors import (
     DocumentError,
     EmptyGraphError,
     GraphSpecError,
+    InputTooLargeError,
     PathTooShortError,
 )
 from .graphs import GraphTopology, build_free_graph
 
 # 2q-1 already overstates any practical label; cap parses well before overflow
 _MAX_DIGITS = 18
+# the most edges a spec may have: the search oracle's edge bit masks take
+# memory quadratic in q, 10 MB at q = 8,000 and so about 160 GB at q = 10^6
+MAX_SPEC_EDGES = 10**4
 # the grammar's term; [0-9] takes ASCII digits only, and a path ends at "+"
 _TERM = re.compile(r"([CP])([0-9]*)|@([^+]*)")
 
@@ -125,31 +129,49 @@ def topology_from_spec(spec: tuple[tuple[str, int | str], ...]) -> GraphTopology
     Cycle terms need at least 3 vertices and path terms at least 2 (degenerate
     terms have no clean edge-list reading). An ``@`` term keeps the file's
     vertex numbers: vertex k becomes ``offset + k``, where the offset is the
-    largest vertex number used by the terms before it.
+    largest vertex number used by the terms before it. A spec of more than
+    ``MAX_SPEC_EDGES`` edges (C_k has k, P_k has k - 1, a file its pairs) is
+    refused before any edge is built.
     """
-    edges: list[tuple[int, int]] = []
-    offset = 0
+    terms: list[tuple[str, int | list[tuple[int, int]]]] = []
+    count = 0
     for kind, value in spec:
         if kind == "C":
             if value < 3:
                 raise CycleTooSmallError(
                     f"cycle term C{value} is degenerate; need at least C3"
                 )
-            edges.extend((offset + i, offset + i + 1) for i in range(1, value))
-            edges.append((offset + value, offset + 1))
-            offset += value
+            count += value
         elif kind == "P":
             if value < 2:
                 raise PathTooShortError(
                     f"path term P{value} contributes no edges; need at least P2",
                     required=2,
                 )
-            edges.extend((offset + j, offset + j + 1) for j in range(1, value))
-            offset += value
+            count += value - 1
         else:
             pairs = parse_edge_list(read_text(value))
             if not pairs:
                 raise EmptyGraphError(f"edge list {value!r} has no edges")
-            edges.extend((offset + a, offset + b) for a, b in pairs)
-            offset += max(max(pair) for pair in pairs)
+            value = pairs
+            count += len(pairs)
+        terms.append((kind, value))
+    if count > MAX_SPEC_EDGES:
+        raise InputTooLargeError(
+            f"input too large: the spec has {count} edges, over the limit of {MAX_SPEC_EDGES}"
+        )
+
+    edges: list[tuple[int, int]] = []
+    offset = 0
+    for kind, value in terms:
+        if kind == "C":
+            edges.extend((offset + i, offset + i + 1) for i in range(1, value))
+            edges.append((offset + value, offset + 1))
+            offset += value
+        elif kind == "P":
+            edges.extend((offset + j, offset + j + 1) for j in range(1, value))
+            offset += value
+        else:
+            edges.extend((offset + a, offset + b) for a, b in value)
+            offset += max(max(pair) for pair in value)
     return build_free_graph(edges)

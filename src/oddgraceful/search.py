@@ -107,7 +107,7 @@ def exhaustive_search(
 
     q, two_q = topology.q, 2 * topology.q
     edges = topology.edges
-    label = [-1] * len(topology.names)
+    label = [-1] * topology.p
     if len(label) > two_q:  # not enough distinct labels
         stats = SearchStats(0, 0, "more vertices than labels")
         return SearchOutcome(SearchStatus.EXHAUSTED_NONE, None, stats)

@@ -12,6 +12,7 @@ code certifies search results.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Union
 
 from .errors import MissingVertexLabelError
@@ -91,11 +92,11 @@ class VerificationReport:
 def edge_labels(topology: GraphTopology, labeling: Labeling) -> tuple[int, ...]:
     """Induced |f(a) - f(b)| per edge, in the topology's edge order, for a
     ``labeling`` of exactly one label per vertex of ``topology``."""
-    if len(labeling) != len(topology.names):
+    if len(labeling) != topology.p:
         raise MissingVertexLabelError(
-            f"labeling has {len(labeling)} labels for {len(topology.names)} vertices"
+            f"labeling has {len(labeling)} labels for {topology.p} vertices"
         )
-    return tuple(abs(labeling[a] - labeling[b]) for a, b in topology.edges)
+    return tuple(map(abs, map(sub, *topology.ends(labeling))))
 
 
 def verify_odd_graceful(topology: GraphTopology, labeling: Labeling) -> VerificationReport:

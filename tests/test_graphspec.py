@@ -7,7 +7,10 @@ from oddgraceful import (
     GraphSpecError,
     PathTooShortError,
 )
+from oddgraceful import graphspec
+from oddgraceful.errors import InputTooLargeError
 from oddgraceful.graphspec import (
+    MAX_SPEC_EDGES,
     parse_edge_list,
     parse_graph_spec,
     topology_from_spec,
@@ -120,6 +123,33 @@ class TestTopologyFromSpec:
     def test_single_vertex_path_rejected(self):
         with pytest.raises(PathTooShortError):
             topology_from_spec(parse_graph_spec("C4+P1"))
+
+    def test_spec_at_the_edge_cap_is_built(self):
+        cycle = MAX_SPEC_EDGES // 2
+        topology = topology_from_spec(parse_graph_spec(f"C{cycle}+P{MAX_SPEC_EDGES - cycle + 1}"))
+        assert topology.q == MAX_SPEC_EDGES
+
+    @pytest.mark.parametrize("spec", [
+        f"P{MAX_SPEC_EDGES + 2}",
+        f"C{MAX_SPEC_EDGES // 2}+P{MAX_SPEC_EDGES // 2 + 2}",
+        "C999999999999999999",
+        "C999999999999999999+P999999999999999999",
+    ])
+    def test_spec_over_the_edge_cap_is_refused_before_its_edges(self, monkeypatch, spec):
+        def refuse(edges):
+            raise AssertionError("edges built")
+
+        monkeypatch.setattr(graphspec, "build_free_graph", refuse)
+        with pytest.raises(InputTooLargeError, match=rf"^input too large: the spec has \d+ edges"):
+            topology_from_spec(parse_graph_spec(spec))
+
+    def test_file_term_counts_its_pairs_toward_the_cap(self, tmp_path):
+        listing = tmp_path / "edges.txt"
+        listing.write_text("1 2\n2 3\n")
+        fits = topology_from_spec(parse_graph_spec(f"C{MAX_SPEC_EDGES - 2}+@{listing}"))
+        assert fits.q == MAX_SPEC_EDGES
+        with pytest.raises(InputTooLargeError, match=f"has {MAX_SPEC_EDGES + 1} edges"):
+            topology_from_spec(parse_graph_spec(f"C{MAX_SPEC_EDGES - 1}+@{listing}"))
 
     def test_file_term_keeps_file_numbers_past_offset(self, tmp_path):
         listing = tmp_path / "edges.txt"
