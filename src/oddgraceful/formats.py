@@ -29,7 +29,7 @@ from itertools import chain, count, islice
 from typing import Iterable, Iterator
 
 from .errors import DocumentError, OddGracefulError
-from .graphs import GraphTopology, Labeling, build_union_graph
+from .graphs import GraphTopology, Labeling, Topology, build_union_graph
 from .verification import VerificationReport, edge_labels
 
 _VERTEX_ID = re.compile(r"[uvw][1-9][0-9]*")
@@ -51,12 +51,12 @@ def _json_list(entries: Iterable[str]) -> Iterator[str]:
     yield "[]" if start == "[\n" else "\n  ]"
 
 
-def document_pieces(topology: GraphTopology, labeling: Labeling) -> Iterator[str]:
+def document_pieces(topology: Topology, labeling: Labeling) -> Iterator[str]:
     """:func:`document_to_json` in pieces of at most ``_PIECE`` list entries.
-    The name and edge-label tables are built before the first piece, so a
-    labeling of the wrong length raises before anything is written."""
-    names = list(map(_encode_str, topology.names))
+    The edge labels are computed first, so a labeling of the wrong length
+    raises before any name is built; the names follow, before the first piece."""
     induced = edge_labels(topology, labeling)
+    names = list(map(_encode_str, topology.names))
     yield _HEADER % (topology.m, topology.n, topology.q)
     yield from _json_list(
         f'    {{\n      "id": {name},\n      "label": {label}\n    }}'
@@ -70,7 +70,7 @@ def document_pieces(topology: GraphTopology, labeling: Labeling) -> Iterator[str
     yield "\n}\n"
 
 
-def document_to_json(topology: GraphTopology, labeling: Labeling) -> str:
+def document_to_json(topology: Topology, labeling: Labeling) -> str:
     """The labeled topology's JSON document, with a trailing newline.
 
     The bytes are those of ``json.dumps(document, indent=2)`` for the
@@ -84,7 +84,7 @@ def document_to_json(topology: GraphTopology, labeling: Labeling) -> str:
     return "".join(document_pieces(topology, labeling))
 
 
-def labeling_document(topology: GraphTopology, labeling: Labeling) -> dict:
+def labeling_document(topology: Topology, labeling: Labeling) -> dict:
     """The parse of :func:`document_to_json`: the document ``generate`` writes."""
     return json.loads(document_to_json(topology, labeling))
 
@@ -121,7 +121,7 @@ _WRITTEN_SIZES = re.compile(
 _WRITTEN_LABEL = re.compile(r'\n      "label": ([0-9]+)\n')
 
 
-def _written_union(text: str) -> tuple[GraphTopology, Labeling] | None:
+def _written_union(text: str) -> tuple[Topology, Labeling] | None:
     """The parse of ``text`` if it is byte for byte what
     ``document_to_json(build_union_graph(m, n), labels)`` writes; else None."""
     sizes = _WRITTEN_SIZES.match(text)
@@ -147,7 +147,7 @@ def _written_union(text: str) -> tuple[GraphTopology, Labeling] | None:
     return (union, labels) if at == len(text) else None
 
 
-def parse_labeling_document(text: str) -> tuple[GraphTopology, Labeling]:
+def parse_labeling_document(text: str) -> tuple[Topology, Labeling]:
     """Parse a JSON labeling document back into a topology and labeling.
 
     Vertices keep their listed order. A document that names a union graph
@@ -215,7 +215,7 @@ def parse_labeling_document(text: str) -> tuple[GraphTopology, Labeling]:
 
     names, pairs = tuple(position), tuple(edges)
     if not (m or n):
-        return GraphTopology(names=names, edges=pairs, m=0, n=0), tuple(labels)
+        return GraphTopology(names=names, edges=pairs), tuple(labels)
     try:
         # the size check comes first, so a huge m or n is never built
         union = len(names) == m + n and build_union_graph(m, n)
@@ -233,10 +233,10 @@ def _line_pieces(*sections: Iterable[str]) -> Iterator[str]:
         yield "\n".join(piece) + "\n"
 
 
-def dot_pieces(topology: GraphTopology, labeling: Labeling) -> Iterator[str]:
-    """:func:`to_dot` in pieces; the edge labels are computed before the first piece."""
-    names = topology.names
+def dot_pieces(topology: Topology, labeling: Labeling) -> Iterator[str]:
+    """:func:`to_dot` in pieces; the edge labels are computed first, before the names."""
     induced = edge_labels(topology, labeling)
+    names = topology.names
     yield from _line_pieces(
         ["graph G {"],
         (f'  {name} [label="{name}:{label}"];' for name, label in zip(names, labeling)),
@@ -245,15 +245,15 @@ def dot_pieces(topology: GraphTopology, labeling: Labeling) -> Iterator[str]:
     )
 
 
-def to_dot(topology: GraphTopology, labeling: Labeling) -> str:
+def to_dot(topology: Topology, labeling: Labeling) -> str:
     """Undirected DOT text; node display is ``id:label``, edges carry their label."""
     return "".join(dot_pieces(topology, labeling))
 
 
-def csv_pieces(topology: GraphTopology, labeling: Labeling) -> Iterator[str]:
-    """:func:`to_csv` in pieces; the edge labels are computed before the first piece."""
-    names = topology.names
+def csv_pieces(topology: Topology, labeling: Labeling) -> Iterator[str]:
+    """:func:`to_csv` in pieces; the edge labels are computed first, before the names."""
     induced = edge_labels(topology, labeling)
+    names = topology.names
     yield from _line_pieces(
         ["vertex,label"],
         (f"{name},{label}" for name, label in zip(names, labeling)),
@@ -263,7 +263,7 @@ def csv_pieces(topology: GraphTopology, labeling: Labeling) -> Iterator[str]:
     )
 
 
-def to_csv(topology: GraphTopology, labeling: Labeling) -> str:
+def to_csv(topology: Topology, labeling: Labeling) -> str:
     """Vertex section then edge section; edges are numbered e1..eq in edge order."""
     return "".join(csv_pieces(topology, labeling))
 

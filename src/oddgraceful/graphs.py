@@ -8,11 +8,13 @@ vertices (arbitrary graphs fed to the search oracle) ``w1, w2, ...``. The
 edge list keeps construction order (cycle edges first, then path edges), so
 repeated builds with equal inputs are identical.
 
-A union C_m + P_n stores only m and n: its names and edges follow from them,
-and ``ends`` gives any per-vertex column at the edges' two ends as slices of
-that column, so the verifier and the writers never build the edge list. Only
-free graphs, which come from outside the program, store their names and
-edges, and only they are checked on construction.
+A ``UnionTopology`` C_m + P_n holds m and n alone, checked when made: its
+equality, hash and repr read only them, and ``dataclasses.replace`` gives a
+checked union. Its names and edges follow from them, and ``ends`` gives any
+per-vertex column at the edges' two ends as slices of that column, so the
+verifier and the writers never build the edge list. A ``GraphTopology`` is a
+free graph from outside the program: it holds and checks its names and
+edges, and its ``m`` and ``n`` are 0.
 """
 
 from __future__ import annotations
@@ -37,13 +39,12 @@ Labeling = tuple[int, ...]
 
 @dataclass(frozen=True)
 class GraphTopology:
-    """Immutable vertex/edge structure; ``m`` and ``n`` are 0 for free graphs,
-    and ``p`` and ``q`` count the vertices and the edges."""
+    """A free graph: its vertex names and its edges as index pairs, checked
+    on construction; ``p`` and ``q`` count the vertices and the edges."""
 
     names: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]
-    m: int
-    n: int
+    m = n = 0  # a free graph is no union
 
     def __post_init__(self):
         if len(set(self.names)) != len(self.names):
@@ -69,17 +70,16 @@ class GraphTopology:
         return map(at, map(itemgetter(0), self.edges)), map(at, map(itemgetter(1), self.edges))
 
 
-class UnionTopology(GraphTopology):
+@dataclass(frozen=True)
+class UnionTopology:
     """C_m + P_n, holding only m and n; ``names`` and ``edges`` are computed
     on each access."""
 
-    def __new__(cls, names, edges, m, n):
-        # dataclasses.replace calls the class with every field; a changed
-        # field is no longer this union, so the result stores its tuples
-        return GraphTopology(names, edges, m, n)
+    m: int
+    n: int
 
-    def __reduce__(self):  # copy and pickle rebuild it from its sizes
-        return build_union_graph, (self.m, self.n)
+    def __post_init__(self):
+        check_union_size(self.m, self.n, 1)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -104,6 +104,9 @@ class UnionTopology(GraphTopology):
             chain(column[:m - 1], column[:1], column[m:-1]),
             chain(column[1:m], column[m - 1:m], column[m + 1:]),
         )
+
+
+Topology = GraphTopology | UnionTopology
 
 
 def check_union_size(m: int, n: int, required: int) -> None:
@@ -131,20 +134,16 @@ def check_union_size(m: int, n: int, required: int) -> None:
         raise PathTooShortError(message, required=required)
 
 
-def build_union_graph(m: int, n: int) -> GraphTopology:
+def build_union_graph(m: int, n: int) -> UnionTopology:
     """Build the disjoint union of an even cycle on ``m`` vertices and a path on ``n``.
 
     Vertices are ordered u1..um then v1..vn; edges are the m cycle edges
     (u1u2, ..., u(m-1)um, u1um) followed by the n-1 path edges. Only the
     topology-level constraints are enforced here (m even and at least 4,
     n at least 1); the constructor applies its stronger path-length bound,
-    so out-of-range instances remain representable for study. The result
-    holds m and n alone, so building it takes the same time for any size.
+    so out-of-range instances remain representable for study.
     """
-    check_union_size(m, n, 1)
-    union = object.__new__(UnionTopology)
-    vars(union).update(m=m, n=n)
-    return union
+    return UnionTopology(m, n)
 
 
 def build_free_graph(edge_list: Iterable[tuple[int, int]]) -> GraphTopology:
@@ -166,9 +165,5 @@ def build_free_graph(edge_list: Iterable[tuple[int, int]]) -> GraphTopology:
         raise EmptyGraphError("a labeling problem needs at least one edge")
     vertices = sorted({v for pair in pairs for v in pair})
     position = {v: i for i, v in enumerate(vertices)}
-    return GraphTopology(
-        names=tuple(f"w{v}" for v in vertices),
-        edges=tuple((position[a], position[b]) for a, b in pairs),
-        m=0,
-        n=0,
-    )
+    names = tuple(f"w{v}" for v in vertices)
+    return GraphTopology(names, tuple((position[a], position[b]) for a, b in pairs))

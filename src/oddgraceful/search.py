@@ -43,7 +43,7 @@ import enum
 import time
 from dataclasses import dataclass
 
-from .graphs import GraphTopology, Labeling
+from .graphs import Labeling, Topology
 from .verification import verify_odd_graceful
 
 
@@ -90,7 +90,7 @@ class SearchOutcome:
 
 
 def exhaustive_search(
-    topology: GraphTopology,
+    topology: Topology,
     budget: SearchBudget | None = None,
 ) -> SearchOutcome:
     """Find an odd graceful labeling or prove none exists, within budget.

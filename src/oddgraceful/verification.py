@@ -16,7 +16,7 @@ from operator import sub
 from typing import Union
 
 from .errors import MissingVertexLabelError
-from .graphs import GraphTopology, Labeling
+from .graphs import Labeling, Topology
 
 # Violations name vertices and edges as text, since they exist to be read.
 EdgeNames = tuple[str, str]
@@ -89,7 +89,7 @@ class VerificationReport:
     violations: tuple[Violation, ...]
 
 
-def edge_labels(topology: GraphTopology, labeling: Labeling) -> tuple[int, ...]:
+def edge_labels(topology: Topology, labeling: Labeling) -> tuple[int, ...]:
     """Induced |f(a) - f(b)| per edge, in the topology's edge order, for a
     ``labeling`` of exactly one label per vertex of ``topology``."""
     if len(labeling) != topology.p:
@@ -99,7 +99,7 @@ def edge_labels(topology: GraphTopology, labeling: Labeling) -> tuple[int, ...]:
     return tuple(map(abs, map(sub, *topology.ends(labeling))))
 
 
-def verify_odd_graceful(topology: GraphTopology, labeling: Labeling) -> VerificationReport:
+def verify_odd_graceful(topology: Topology, labeling: Labeling) -> VerificationReport:
     """Report whether ``labeling`` is odd graceful, with every violation.
 
     A pass check runs first: distinct vertex labels in [0, 2q-1] whose
@@ -124,7 +124,7 @@ def verify_odd_graceful(topology: GraphTopology, labeling: Labeling) -> Verifica
 
 
 def _violations(
-    topology: GraphTopology, labeling: Labeling, induced: tuple[int, ...]
+    topology: Topology, labeling: Labeling, induced: tuple[int, ...]
 ) -> list[Violation]:
     """Every violation of ``labeling``, whose edge labels are ``induced``, in
     the order ``verify_odd_graceful`` reports."""

@@ -138,16 +138,16 @@ class TestBuildFreeGraph:
 class TestTopologyInvariants:
     def test_rejects_duplicate_name(self):
         with pytest.raises(ValueError, match="duplicate vertex names in topology"):
-            GraphTopology(names=("u1", "u1"), edges=((0, 1),), m=0, n=0)
+            GraphTopology(names=("u1", "u1"), edges=((0, 1),))
 
     def test_rejects_duplicate_edge(self):
         with pytest.raises(ValueError):
-            GraphTopology(names=("u1", "u2"), edges=((0, 1), (0, 1)), m=0, n=0)
+            GraphTopology(names=("u1", "u2"), edges=((0, 1), (0, 1)))
 
     def test_rejects_unknown_endpoint(self):
         with pytest.raises(ValueError):
-            GraphTopology(names=("u1",), edges=((0, 1),), m=0, n=0)
+            GraphTopology(names=("u1",), edges=((0, 1),))
 
     def test_rejects_non_canonical_edge(self):
         with pytest.raises(ValueError):
-            GraphTopology(names=("u1", "u2"), edges=((1, 0),), m=0, n=0)
+            GraphTopology(names=("u1", "u2"), edges=((1, 0),))

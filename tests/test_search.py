@@ -50,7 +50,7 @@ class TestOutcomes:
         assert outcome.status is SearchStatus.EXHAUSTED_NONE
 
     def test_topology_without_edges_is_rejected(self):
-        topology = GraphTopology(names=("u1",), edges=(), m=0, n=0)
+        topology = GraphTopology(names=("u1",), edges=())
         with pytest.raises(ValueError, match="search needs a topology with at least one edge"):
             exhaustive_search(topology)
 
@@ -76,7 +76,7 @@ class TestProof:
             for chosen in range(1, 1 << len(pairs)):
                 edges = tuple(pair for i, pair in enumerate(pairs) if chosen >> i & 1)
                 names = tuple(f"w{v}" for v in range(size))
-                topology = GraphTopology(names=names, edges=edges, m=0, n=0)
+                topology = GraphTopology(names=names, edges=edges)
                 bipartite = any(
                     all((sides >> a ^ sides >> b) & 1 for a, b in edges)
                     for sides in range(1 << size)

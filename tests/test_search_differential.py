@@ -62,7 +62,7 @@ def random_graph(seed):
     if not edges:
         a, b = sorted(set(range(size)) - isolated)[:2]
         edges = [(a, b)]
-    return GraphTopology(tuple(f"w{v + 1}" for v in range(size)), tuple(edges), 0, 0)
+    return GraphTopology(tuple(f"w{v + 1}" for v in range(size)), tuple(edges))
 
 
 def small_graph(seed):
@@ -71,7 +71,7 @@ def small_graph(seed):
     pairs = [(a, b) for a in range(size) for b in range(a + 1, size)]
     rng.shuffle(pairs)
     edges = sorted(pairs[: rng.randint(1, MAX_EDGES[size])])
-    return GraphTopology(tuple(f"w{v + 1}" for v in range(size)), tuple(edges), 0, 0)
+    return GraphTopology(tuple(f"w{v + 1}" for v in range(size)), tuple(edges))
 
 
 def random_union(seed):
@@ -99,7 +99,7 @@ def random_union(seed):
     rng.shuffle(number)
     rng.shuffle(pairs)
     edges = tuple(tuple(sorted((number[a], number[b]))) for a, b in pairs)
-    return GraphTopology(tuple(f"w{v + 1}" for v in range(size)), edges, 0, 0)
+    return GraphTopology(tuple(f"w{v + 1}" for v in range(size)), edges)
 
 
 def isomorphism_class(topology):

@@ -1,19 +1,23 @@
 """The union topology computes its names and edges from (m, n) alone.
 
-``build_union_graph`` used to store a name tuple and an edge-pair tuple.
-These tests pin the computed union to those explicit lists, and the edge
-labels taken through its slices to the labels over those edges.
+These tests pin the computed union to the explicit name and edge lists, and
+the edge labels taken through its slices to the labels over those edges.
+A union is a value of m and n: equality, hash, repr, pickle and
+``dataclasses.replace`` read and check only those two numbers.
 """
 
 import pickle
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from oddgraceful import (
+    CycleTooSmallError,
     GraphTopology,
     MissingVertexLabelError,
+    OddCycleError,
+    PathTooShortError,
     SearchStatus,
     build_union_graph,
     exhaustive_search,
@@ -72,19 +76,49 @@ def test_the_union_stores_only_its_sizes():
     assert type(topology) is UnionTopology
     assert vars(topology) == {"m": 8, "n": 10**9}
     assert (topology.p, topology.q) == (8 + 10**9, 8 + 10**9 - 1)
-    small = build_union_graph(8, 9)
-    assert pickle.loads(pickle.dumps(small)) == small
 
 
-@pytest.mark.parametrize("change", [{"m": 0}, {"n": 5}, {"names": tuple("abcdefg")}, {"edges": ()}, {}])
+def test_value_semantics_read_only_the_sizes():
+    # at n = 10^9 any of these that built the names or edges would not finish
+    topology = build_union_graph(8, 10**9)
+    assert topology == build_union_graph(8, 10**9)
+    assert topology != build_union_graph(8, 10**9 + 1)
+    assert hash(topology) == hash(build_union_graph(8, 10**9))
+    assert repr(topology) == "UnionTopology(m=8, n=1000000000)"
+    assert pickle.loads(pickle.dumps(topology)) == topology
+    assert [field.name for field in fields(GraphTopology)] == ["names", "edges"]
+
+
+# A changed union is built again from its new sizes, so its names and edges
+# are the explicit lists of those sizes.
+@pytest.mark.parametrize(
+    "change",
+    [
+        pytest.param({"m": 6}, id="change0"),
+        pytest.param({"n": 5}, id="change1"),
+        pytest.param({}, id="change4"),
+    ],
+)
 def test_replace_gives_a_topology_with_stored_tuples(change):
     union = build_union_graph(4, 3)
     changed = replace(union, **change)
-    assert type(changed) is GraphTopology
-    expected = {"names": union.names, "edges": union.edges, "m": 4, "n": 3, **change}
-    assert vars(changed) == expected
+    m, n = change.get("m", 4), change.get("n", 3)
+    assert type(changed) is UnionTopology
+    assert changed == build_union_graph(m, n)
+    assert (changed.names, changed.edges) == explicit_union(m, n)
 
 
 def test_replace_checks_the_stored_tuples():
-    with pytest.raises(ValueError, match="is not an index pair"):
-        replace(build_union_graph(4, 3), names=())
+    union = build_union_graph(4, 3)
+    with pytest.raises(OddCycleError):
+        replace(union, m=3)
+    with pytest.raises(CycleTooSmallError):
+        replace(union, m=0)
+    with pytest.raises(PathTooShortError):
+        replace(union, n=0)
+
+
+@pytest.mark.parametrize("field", ["names", "edges"])
+def test_replace_refuses_names_and_edges(field):
+    with pytest.raises(TypeError):
+        replace(build_union_graph(4, 3), **{field: ()})
