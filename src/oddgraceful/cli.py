@@ -26,14 +26,15 @@ from .formats import (
     WRITERS,
     document_to_json,  # unused here, but perfbench/tracing.py wraps it under this name
     labeling_document,  # likewise
-    parse_labeling_document,
+    parse_labeling_document,  # likewise
+    read_labeling_document,
     report_to_dict,
     to_csv,  # likewise
     to_dot,  # likewise
 )
 # build_free_graph is unused here, but perfbench/tracing.py wraps it under this name
 from .graphs import build_free_graph, build_union_graph
-from .graphspec import parse_graph_spec, read_text, topology_from_spec, union_form
+from .graphspec import parse_graph_spec, topology_from_spec, union_form
 from .search import SearchBudget, SearchStatus, exhaustive_search
 from .verification import verify_odd_graceful
 
@@ -166,8 +167,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    text = read_text(None if args.input == "-" else args.input)
-    topology, labeling = parse_labeling_document(text)
+    topology, labeling = read_labeling_document(None if args.input == "-" else args.input)
     report = verify_odd_graceful(topology, labeling)
     if args.json:
         print(json.dumps(report_to_dict(report, topology.q), indent=2))

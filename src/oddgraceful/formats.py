@@ -3,34 +3,37 @@
 The JSON document is the interchange format: ``generate`` writes it and
 ``verify`` reads it back. Vertices appear in topology order (u_1..u_m then
 v_1..v_n), edges likewise (cycle edges then path edges). Edge labels are
-derived data: each writer computes them from the vertex labels with
-``edge_labels``, which refuses a labeling without one label per vertex, and
-verification recomputes them, so tampered vertex labels are judged on substance.
+derived data: each writer computes them as it writes with ``induced_labels``,
+which refuses a labeling without one label per vertex, and verification
+recomputes them, so tampered vertex labels are judged on substance.
 
 ``document_pieces`` writes a labeled topology's document, the bytes of
 ``json.dumps(document, indent=2)`` plus a newline (two-space indent, one
-field per line, non-ASCII escaped), in pieces of a few thousand entries, as
+field per line, non-ASCII escaped), in pieces of ``_PIECE`` entries, as
 ``dot_pieces`` and ``csv_pieces`` write DOT and CSV; ``document_to_json``,
 ``to_dot`` and ``to_csv`` are their joins, and ``generate`` takes its writer
 from ``WRITERS``. ``labeling_document`` is the document's parse.
 ``parse_labeling_document`` accepts any JSON layout and returns
-``build_union_graph(m, n)`` for a union document. It reads the bytes
-``generate`` writes by writing them again, comparing each piece with the
-text in its place, so no second copy of the document is made; any other
-text goes through the per-entry checks, which report its first failed check.
+``build_union_graph(m, n)`` for a union document; ``read_labeling_document``
+parses a file. Both read the bytes ``generate`` writes by writing them
+again, comparing each piece with the text in its place, so no copy of the
+document is made; any other text is read whole and goes through the
+per-entry checks, which report its first failed check.
 Output is byte-identical across runs for identical inputs.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 from itertools import chain, count, islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 from .errors import DocumentError, OddGracefulError
 from .graphs import GraphTopology, Labeling, Topology, build_union_graph
-from .verification import VerificationReport, edge_labels
+from .graphspec import read_text
+from .verification import VerificationReport, induced_labels
 
 _VERTEX_ID = re.compile(r"[uvw][1-9][0-9]*")
 
@@ -38,7 +41,7 @@ _VERTEX_ID = re.compile(r"[uvw][1-9][0-9]*")
 # json.dumps(document, indent=2) up to the vertex list, with a slot for each size
 _HEADER = '{\n  "graph": {\n    "m": %d,\n    "n": %d\n  },\n  "q": %d,\n  "vertices": '
 _encode_str = json.encoder.encode_basestring_ascii
-_PIECE = 4096  # list entries, or lines, per piece of a text
+_PIECE = 1024  # list entries, or lines, per piece of a text
 
 
 def _json_list(entries: Iterable[str]) -> Iterator[str]:
@@ -53,10 +56,10 @@ def _json_list(entries: Iterable[str]) -> Iterator[str]:
 
 def document_pieces(topology: Topology, labeling: Labeling) -> Iterator[str]:
     """:func:`document_to_json` in pieces of at most ``_PIECE`` list entries.
-    The edge labels are computed first, so a labeling of the wrong length
-    raises before any name is built; the names follow, before the first piece."""
-    induced = edge_labels(topology, labeling)
-    names = list(map(_encode_str, topology.names))
+    The labeling's length is checked first, so a labeling of the wrong length
+    raises before any name is encoded; the names follow, before the first piece."""
+    induced = induced_labels(topology, labeling)
+    names = list(map(_encode_str, topology.iter_names()))
     yield _HEADER % (topology.m, topology.n, topology.q)
     yield from _json_list(
         f'    {{\n      "id": {name},\n      "label": {label}\n    }}'
@@ -114,37 +117,65 @@ def _want_list(value, key: str) -> list:
     return value
 
 
-# what document_to_json writes for a union's sizes, and each vertex's label line
-_WRITTEN_SIZES = re.compile(
-    r'\{\n  "graph": \{\n    "m": ([1-9][0-9]*),\n    "n": ([1-9][0-9]*)\n'
-)
-_WRITTEN_LABEL = re.compile(r'\n      "label": ([0-9]+)\n')
+# a line of document_to_json that ends in a number: before the edge list
+# these are m, n, q and each vertex label
+_WRITTEN_NUMBER = re.compile(r'": ([0-9]+),?$', re.M)
+_READ = 1 << 16  # characters per read of a file in the first pass
+_LINE = 1 << 16  # a longer line sends a text to the per-entry walk
 
 
-def _written_union(text: str) -> tuple[Topology, Labeling] | None:
-    """The parse of ``text`` if it is byte for byte what
-    ``document_to_json(build_union_graph(m, n), labels)`` writes; else None."""
-    sizes = _WRITTEN_SIZES.match(text)
-    edges_at = text.find('\n  "edges": ')
-    if sizes is None or edges_at < 0:
-        return None
+class _TextReader:
+    """The ``read`` and ``seek`` of a text file over a str, which
+    ``io.StringIO`` would copy at four bytes a character."""
+
+    def __init__(self, text: str):
+        self.text, self.at = text, 0
+
+    def read(self, size: int) -> str:
+        self.at += size
+        return self.text[self.at - size:self.at]
+
+    def seek(self, at: int) -> None:
+        self.at = at
+
+
+def _written_union(source: TextIO | _TextReader) -> tuple[Topology, Labeling] | None:
+    """The parse of the text ``source`` reads if it is byte for byte what
+    ``document_to_json(build_union_graph(m, n), labels)`` writes; else None.
+
+    The first pass reads whole lines up to the edge list and takes the sizes
+    and the labels from them. The second reads the text from its start again,
+    a piece at a time, comparing each with the piece written in its place.
+    """
+    numbers: list[int] = []
+    rest = ""
     try:
-        # int() refuses a number past the interpreter's digit limit
-        m, n = map(int, sizes.groups())
-        labels = tuple(map(int, _WRITTEN_LABEL.findall(text, sizes.end(), edges_at)))
+        while len(rest) < _LINE and (chunk := source.read(_READ)):
+            text = rest + chunk
+            # each block of whole lines after the first starts with the newline before it
+            cut = max(text.rfind("\n"), 0)
+            lines, rest = text[:cut], text[cut:]
+            edges = lines.find('\n  "edges": ')
+            found = _WRITTEN_NUMBER.findall(lines, 0, len(lines) if edges < 0 else edges)
+            numbers += map(int, found)  # int() refuses a number past the digit limit
+            if edges >= 0:
+                break
+        else:
+            return None
+        m, n = numbers[:2]
         # the label count bounds m + n by the size of the text before the build
-        union = len(labels) == m + n and build_union_graph(m, n)
+        union = len(numbers) == m + n + 3 and build_union_graph(m, n)
     except (ValueError, OddGracefulError):
         return None
     if not union:
         return None
-    # piece by piece, so the document is never written whole a second time
-    at = 0
+    labels = tuple(islice(numbers, 3, None))
+    del numbers  # its list is as long as the labels, which outlive it in the tuple
+    source.seek(0)
     for piece in document_pieces(union, labels):
-        if not text.startswith(piece, at):
+        if source.read(len(piece)) != piece:
             return None
-        at += len(piece)
-    return (union, labels) if at == len(text) else None
+    return None if source.read(1) else (union, labels)
 
 
 def parse_labeling_document(text: str) -> tuple[Topology, Labeling]:
@@ -156,9 +187,26 @@ def parse_labeling_document(text: str) -> tuple[Topology, Labeling]:
     ``generate`` writes are read by writing them again; any other text is
     parsed as JSON and each entry is checked in turn.
     """
-    written = _written_union(text)
-    if written is not None:
-        return written
+    return _written_union(_TextReader(text)) or _walked(text)
+
+
+def read_labeling_document(path: str | None) -> tuple[Topology, Labeling]:
+    """:func:`parse_labeling_document` of the file at ``path``, or of standard
+    input when it is None. A regular file of ``generate``'s bytes is read a
+    piece at a time; any other file is read whole, and so is a pipe, which
+    cannot be read twice."""
+    if path is None or not os.path.isfile(path):
+        return parse_labeling_document(read_text(path))
+    try:
+        with open(path) as source:
+            written = _written_union(source)
+    except (OSError, UnicodeDecodeError):
+        written = None  # read_text reports it, at its place in the whole file
+    return written or _walked(read_text(path))
+
+
+def _walked(text: str) -> tuple[Topology, Labeling]:
+    """The parse of ``text`` by ``json.loads`` and the per-entry checks."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -234,8 +282,8 @@ def _line_pieces(*sections: Iterable[str]) -> Iterator[str]:
 
 
 def dot_pieces(topology: Topology, labeling: Labeling) -> Iterator[str]:
-    """:func:`to_dot` in pieces; the edge labels are computed first, before the names."""
-    induced = edge_labels(topology, labeling)
+    """:func:`to_dot` in pieces; the labeling's length is checked first, before the names."""
+    induced = induced_labels(topology, labeling)
     names = topology.names
     yield from _line_pieces(
         ["graph G {"],
@@ -251,8 +299,8 @@ def to_dot(topology: Topology, labeling: Labeling) -> str:
 
 
 def csv_pieces(topology: Topology, labeling: Labeling) -> Iterator[str]:
-    """:func:`to_csv` in pieces; the edge labels are computed first, before the names."""
-    induced = edge_labels(topology, labeling)
+    """:func:`to_csv` in pieces; the labeling's length is checked first, before the names."""
+    induced = induced_labels(topology, labeling)
     names = topology.names
     yield from _line_pieces(
         ["vertex,label"],

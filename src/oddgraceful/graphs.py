@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CycleTooSmallError,
@@ -63,6 +63,10 @@ class GraphTopology:
     def q(self) -> int:
         return len(self.edges)
 
+    def iter_names(self) -> Iterator[str]:
+        """The names in vertex order."""
+        return iter(self.names)
+
     def ends(self, column: Sequence) -> tuple[Iterable, Iterable]:
         """The entries of a per-vertex ``column`` at each edge's first and at
         its second end, in edge order."""
@@ -83,7 +87,14 @@ class UnionTopology:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return (*map("u{}".format, range(1, self.m + 1)), *map("v{}".format, range(1, self.n + 1)))
+        return tuple(self.iter_names())
+
+    def iter_names(self) -> Iterator[str]:
+        """The names in vertex order, each made as it is taken, so that a
+        writer can encode them without a tuple of every name."""
+        return chain(
+            map("u{}".format, range(1, self.m + 1)), map("v{}".format, range(1, self.n + 1))
+        )
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:

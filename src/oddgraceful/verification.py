@@ -2,18 +2,19 @@
 
 A labeling of a graph with q edges passes when the vertex labels are distinct
 values in [0, 2q-1] and the induced absolute differences over the edges are
-exactly the odd values 1, 3, ..., 2q-1, each exactly once. A pass check of
-set and min/max operations over whole lists runs first; only a labeling that
-fails it goes through the itemizing checks, which name every violation. The
-checks accept arbitrary topologies, not just cycle-path unions, so the same
-code certifies search results.
+exactly the odd values 1, 3, ..., 2q-1, each exactly once. A pass check runs
+first: it marks the vertex labels, then the differences as they are
+computed, in two bytearrays of length 2q, and keeps no edge-label tuple.
+Only a labeling that fails it goes through the itemizing checks, which name
+every violation. The checks accept arbitrary topologies, not just cycle-path
+unions, so the same code certifies search results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import sub
-from typing import Union
+from typing import Iterable, Iterator, Union
 
 from .errors import MissingVertexLabelError
 from .graphs import Labeling, Topology
@@ -89,14 +90,20 @@ class VerificationReport:
     violations: tuple[Violation, ...]
 
 
-def edge_labels(topology: Topology, labeling: Labeling) -> tuple[int, ...]:
-    """Induced |f(a) - f(b)| per edge, in the topology's edge order, for a
-    ``labeling`` of exactly one label per vertex of ``topology``."""
+def induced_labels(topology: Topology, labeling: Labeling) -> Iterator[int]:
+    """Induced |f(a) - f(b)| per edge, in the topology's edge order, each
+    computed as it is taken, for a ``labeling`` of exactly one label per
+    vertex of ``topology``; a labeling of another length raises on the call."""
     if len(labeling) != topology.p:
         raise MissingVertexLabelError(
             f"labeling has {len(labeling)} labels for {topology.p} vertices"
         )
-    return tuple(map(abs, map(sub, *topology.ends(labeling))))
+    return map(abs, map(sub, *topology.ends(labeling)))
+
+
+def edge_labels(topology: Topology, labeling: Labeling) -> tuple[int, ...]:
+    """:func:`induced_labels` as a tuple."""
+    return tuple(induced_labels(topology, labeling))
 
 
 def verify_odd_graceful(topology: Topology, labeling: Labeling) -> VerificationReport:
@@ -109,18 +116,29 @@ def verify_odd_graceful(topology: Topology, labeling: Labeling) -> VerificationR
     edge labels (edge order), duplicate edge labels (by first holder), then a
     single finding for any odd values absent from the induced edge labels.
     """
-    induced = edge_labels(topology, labeling)
-    upper = 2 * topology.q - 1
-    if (
-        len(labeling)
-        and 0 <= min(labeling)
-        and max(labeling) <= upper
-        and len(set(labeling)) == len(labeling)
-        and set(induced) == set(range(1, upper + 1, 2))
-    ):
+    if _passes(labeling, induced_labels(topology, labeling), 2 * topology.q):
         return VerificationReport(is_odd_graceful=True, violations=())
-    violations = _violations(topology, labeling, induced)
+    violations = _violations(topology, labeling, edge_labels(topology, labeling))
     return VerificationReport(is_odd_graceful=not violations, violations=tuple(violations))
+
+
+def _passes(labeling: Labeling, induced: Iterable[int], size: int) -> bool:
+    """Whether the labels are distinct values below ``size`` and the
+    ``induced`` labels are the odd values below it, each once."""
+    # the range comes first: a negative index would mark from the end
+    if labeling and not (0 <= min(labeling) and max(labeling) < size):
+        return False
+    marks = bytearray(size)
+    for label in labeling:
+        marks[label] = 1
+    if marks.count(1) != len(labeling):
+        return False
+    # each difference of two labels in range is below size as well
+    marks = bytearray(size)
+    for value in induced:
+        marks[value] = 1
+    # the size / 2 differences fill the size / 2 odd marks only if each is odd and none repeats
+    return 0 not in marks[1::2]
 
 
 def _violations(

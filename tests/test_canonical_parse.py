@@ -9,6 +9,7 @@ import pytest
 from oddgraceful import build_union_graph
 from oddgraceful.construction import METHODS, force_params
 from oddgraceful.formats import (
+    _TextReader,
     _written_union,
     document_to_json,
     parse_labeling_document,
@@ -23,6 +24,6 @@ def test_generated_documents_take_the_canonical_parse(method):
     for m, n in CELLS:
         labeling = METHODS[method](force_params(m, n))
         text = document_to_json(build_union_graph(m, n), labeling)
-        canonical = _written_union(text)
+        canonical = _written_union(_TextReader(text))
         assert canonical is not None, (m, n)
         assert canonical == parse_labeling_document(text), (m, n)

@@ -273,6 +273,9 @@ class TestJsonBytes:
 
 
 PIECE = formats._PIECE
+# entry or line counts around one and two pieces, and around 4,096 and
+# 8,192, four and eight pieces, where a list splits after several full pieces
+COUNTS = [PIECE - 1, PIECE, PIECE + 1, 2 * PIECE, 4095, 4096, 4097, 8192]
 
 
 def union_of(vertices):
@@ -290,7 +293,7 @@ class TestPieces:
     """The document's bytes where its lists split into pieces."""
 
     @pytest.mark.parametrize("graph", [union_of, free_path], ids=["union", "free"])
-    @pytest.mark.parametrize("count", [PIECE - 1, PIECE, PIECE + 1, 2 * PIECE])
+    @pytest.mark.parametrize("count", COUNTS)
     @pytest.mark.parametrize("entries", ["vertices", "edges"])
     def test_bytes_at_piece_boundaries(self, graph, count, entries):
         # a union and a path have one edge fewer than vertices
@@ -359,7 +362,7 @@ class TestTextPieces:
 
     @pytest.mark.parametrize("form", list(TEXT_WRITERS))
     @pytest.mark.parametrize("graph", [union_of, free_path], ids=["union", "free"])
-    @pytest.mark.parametrize("count", [PIECE - 1, PIECE, PIECE + 1, 2 * PIECE])
+    @pytest.mark.parametrize("count", COUNTS)
     @pytest.mark.parametrize("entries", ["vertices", "edges"])
     def test_bytes_at_piece_boundaries(self, form, graph, count, entries):
         # a union and a path have one edge fewer than vertices
@@ -376,7 +379,7 @@ class TestTextPieces:
     def test_pieces_hold_at_most_piece_lines(self, form):
         topology, labeling = union_of(2 * PIECE + 3)
         pieces = list(TEXT_WRITERS[form][0](topology, labeling))
-        # 16,391 lines: the sections run on across pieces, and only the last is short
+        # 4 * PIECE + 7 lines: the sections run on across pieces, and only the last is short
         assert [piece.count("\n") for piece in pieces] == [PIECE] * 4 + [7]
 
 

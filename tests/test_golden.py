@@ -225,10 +225,11 @@ MUTATION_GOLDEN = {
 }
 
 
-def parse_record(text):
-    """What the parser makes of a document: its result or its exact error."""
+def parse_record(text, parse=parse_labeling_document):
+    """What ``parse`` makes of a document, or of the path of a document's
+    file: its result or its exact error."""
     try:
-        topology, labels = parse_labeling_document(text)
+        topology, labels = parse(text)
     except DocumentError as exc:
         return f"error: {exc}"
     return f"ok: {topology.m} {topology.n} {topology.names} {topology.edges} {labels}"

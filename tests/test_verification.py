@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from oddgraceful import (
     MissingVertexLabelError,
@@ -9,13 +9,14 @@ from oddgraceful import (
     verify_odd_graceful,
 )
 from oddgraceful.construction import force_params, min_path_length
-from oddgraceful.graphs import build_free_graph
+from oddgraceful.graphs import GraphTopology, build_free_graph
 from oddgraceful.verification import (
     DuplicateEdgeLabel,
     DuplicateVertexLabel,
     EdgeLabelEven,
     EdgeLabelSetIncomplete,
     VertexLabelOutOfRange,
+    _violations,
     edge_labels,
 )
 
@@ -147,3 +148,53 @@ class TestVerifierProperties:
             for labels in permutations(range(2 * q), length):
                 labeling = labels
                 assert not verify_odd_graceful(topology, labeling).is_odd_graceful
+
+
+@st.composite
+def labeled_graphs(draw):
+    """A union, or a free graph of up to 6 vertices and maybe no edges, with
+    labels from -2 to 2q + 1, or for a union in range its closed form with
+    two labels swapped or not."""
+    if draw(st.booleans()):
+        m = 2 * draw(st.integers(min_value=2, max_value=5))
+        topology = build_union_graph(m, draw(st.integers(min_value=1, max_value=8)))
+    else:
+        p = draw(st.integers(min_value=0, max_value=6))
+        ends = st.integers(0, p - 1)
+        pairs = st.tuples(ends, ends).filter(lambda e: e[0] < e[1])
+        edges = draw(st.lists(pairs, unique=True, max_size=8)) if p > 1 else []
+        topology = GraphTopology(tuple(f"w{i}" for i in range(1, p + 1)), tuple(edges))
+    q, p = topology.q, topology.p
+    drawn = st.lists(st.integers(-2, 2 * q + 1), min_size=p, max_size=p)
+    if topology.m and topology.n >= min_path_length(topology.m):
+        labeling = list(closed_form_labeling(validate_params(topology.m, topology.n)))
+        if draw(st.booleans()):
+            i, j = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+            labeling[i], labeling[j] = labeling[j], labeling[i]
+        drawn = st.one_of(drawn, st.just(labeling))
+    return topology, tuple(draw(drawn))
+
+
+ONE_EDGE = GraphTopology(("w1", "w2"), ((0, 1),))
+
+
+class TestPassCheck:
+    @given(labeled_graphs())
+    @example((ONE_EDGE, (0, -1)))  # -1 as an index marks the last label, 1
+    @example((ONE_EDGE, (2, 1)))  # a label of 2q
+    @example((ONE_EDGE, (1, 1)))  # duplicate labels
+    @example((build_free_graph([(1, 2), (2, 3)]), (0, 2, 3)))  # an even difference
+    @example((GraphTopology(("w1",), ()), (0,)))  # no edges
+    @example((GraphTopology((), ()), ()))  # no vertices
+    def test_pass_check_agrees_with_the_itemizing_checks(self, graph):
+        topology, labeling = graph
+        report = verify_odd_graceful(topology, labeling)
+        violations = _violations(topology, labeling, edge_labels(topology, labeling))
+        assert report.is_odd_graceful == (not violations)
+        assert report.violations == tuple(violations)
+        # the definition, as sets
+        upper = 2 * topology.q - 1
+        expected = len(set(labeling)) == len(labeling) and all(
+            0 <= label <= upper for label in labeling
+        ) and set(edge_labels(topology, labeling)) == set(range(1, upper + 1, 2))
+        assert report.is_odd_graceful == expected

@@ -4,7 +4,8 @@
 ``document_to_json`` writes for the union and labels it reads from it. Every
 other text goes through ``json.loads`` and the per-entry walk. These tests
 check that the shortcut takes ``generate``'s own bytes, declines every other
-layout, and never decides differently from the walk.
+layout, and never decides differently from the walk, whether it reads a str
+or, in chunks of any size, a file.
 """
 
 import json
@@ -20,9 +21,11 @@ from oddgraceful import (
     validate_params,
 )
 from oddgraceful.formats import (
+    _TextReader,
     _written_union,
     document_to_json,
     parse_labeling_document,
+    read_labeling_document,
 )
 from test_fuzz import field_paths
 from test_golden import MUTATIONS, mutated, parse_record
@@ -42,7 +45,7 @@ def test_single_field_mutations_parse_as_in_the_walk(monkeypatch, m, n):
         for value in MUTATIONS.values()
     ]
     # a field set to its own value leaves generate's bytes, which take the shortcut
-    assert any(_written_union(text) is not None for text in texts)
+    assert any(_written_union(_TextReader(text)) is not None for text in texts)
     records = [parse_record(text) for text in texts]
     monkeypatch.setattr(formats, "_written_union", lambda text: None)
     assert [parse_record(text) for text in texts] == records
@@ -89,7 +92,7 @@ def test_other_layouts_take_the_walk(name):
     text = written(8, 7)
     other = OTHER_LAYOUTS[name](text)
     assert other != text
-    assert _written_union(other) is None
+    assert _written_union(_TextReader(other)) is None
     assert parse_labeling_document(other) == parse_labeling_document(text)
 
 
@@ -144,7 +147,70 @@ def test_piecewise_compare_rejects(monkeypatch, name):
     assert len(pieces) == 11
     other = PIECEWISE[name](text, pieces, ends)
     assert other != text
-    assert _written_union(other) is None
+    assert _written_union(_TextReader(other)) is None
     record = parse_record(other)
     monkeypatch.setattr(formats, "_written_union", lambda text: None)
     assert parse_record(other) == record
+
+
+def cut_at_piece_ends(text, pieces, ends):
+    """``text`` cut one character before, at and after the end of each piece."""
+    return [text[:end + step] for end in ends[:-1] for step in (-1, 0, 1)]
+
+
+def read_sizes(text):
+    """Characters per read: small sizes, and one whose first read ends inside
+    the line that opens the edge list and one inside the first label line."""
+    return (1, 7, 64, text.find('\n  "edges": ') + 5, text.find('"label"') + 3)
+
+
+def test_chunked_reads_decide_as_the_walk(monkeypatch, tmp_path):
+    # C4+P3 with every single-field mutation; C8+P7 written in pieces of two
+    # entries, in the other layouts, with the piecewise changes and cut at
+    # each piece end; each text also as a file with CRLF line ends
+    generated = written(4, 3)
+    document = json.loads(generated)
+    texts = [
+        json.dumps(mutated(document, path, value), indent=2) + "\n"
+        for path in field_paths(document)
+        for value in MUTATIONS.values()
+    ]
+    monkeypatch.setattr(formats, "_PIECE", 2)
+    text, pieces, ends = piece_ends(8, 7)
+    assert len(pieces) == 20
+    texts += [change(text) for change in OTHER_LAYOUTS.values()]
+    texts += [change(text, pieces, ends) for change in PIECEWISE.values()]
+    texts += cut_at_piece_ends(text, pieces, ends)
+    path, crlf = tmp_path / "labeling.json", tmp_path / "crlf.json"
+    for other in [generated, text, *texts]:
+        with monkeypatch.context() as walk:
+            walk.setattr(formats, "_written_union", lambda source: None)
+            expected = parse_record(other)
+        path.write_bytes(other.encode())
+        crlf.write_bytes(other.replace("\n", "\r\n").encode())
+        for size in read_sizes(other):
+            monkeypatch.setattr(formats, "_READ", size)
+            assert parse_record(other) == expected, size
+            assert parse_record(str(path), read_labeling_document) == expected, size
+            # a file is read with universal newlines
+            assert parse_record(str(crlf), read_labeling_document) == expected, size
+
+
+@pytest.mark.parametrize("size", [1, 7, 64, "edges", "label"])
+def test_chunked_reads_take_generated_bytes(monkeypatch, tmp_path, size):
+    text, pieces, ends = piece_ends(8, 7)
+    if isinstance(size, str):
+        size = read_sizes(text)[3 if size == "edges" else 4]
+    expected = parse_record(text)
+    path, crlf = tmp_path / "labeling.json", tmp_path / "crlf.json"
+    path.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads called")
+
+    monkeypatch.setattr(formats, "_READ", size)
+    monkeypatch.setattr(formats.json, "loads", refuse)
+    assert _written_union(_TextReader(text)) is not None
+    for source in (path, crlf):
+        assert parse_record(str(source), read_labeling_document) == expected
