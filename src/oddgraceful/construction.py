@@ -19,9 +19,10 @@ the params and must agree pointwise -- the test suite enforces that.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate, cycle, islice
+from operator import mul
 
 from .graphs import Labeling, check_union_size
 
@@ -140,9 +141,7 @@ def closed_form_labeling(params: ConstructionParams) -> Labeling:
 
 def _zigzag(start: int, differences: Iterable[int]) -> Labeling:
     """Labels from ``start``, up by the first difference, down by the next, and so on."""
-    steps = list(differences)
-    steps[1::2] = [-step for step in steps[1::2]]
-    return tuple(accumulate(steps, initial=start))
+    return tuple(accumulate(map(mul, differences, cycle((1, -1))), initial=start))
 
 
 def cycle_pass(params: ConstructionParams, markers: Markers) -> tuple[Labeling, tuple[int, ...]]:
@@ -170,10 +169,15 @@ def path_pass(params: ConstructionParams, markers: Markers) -> tuple[Labeling, t
     positions large and even. Pointwise identical to
     :func:`label_path_vertices`.
     """
+    edge_values = tuple(_path_run(params, markers))
+    return _zigzag(1, edge_values), edge_values
+
+
+def _path_run(params: ConstructionParams, markers: Markers) -> Iterator[int]:
+    """The path's edge labels of :func:`path_pass`, each computed as it is taken."""
     jump = markers.double_jump_edge_label
     run = range(markers.active_vertex_label - 2, 0, -2)
-    edge_values = tuple(islice((value for value in run if value != jump), params.n - 1))
-    return _zigzag(1, edge_values), edge_values
+    return islice((value for value in run if value != jump), params.n - 1)
 
 
 def algorithmic_labeling(params: ConstructionParams) -> Labeling:
@@ -181,12 +185,13 @@ def algorithmic_labeling(params: ConstructionParams) -> Labeling:
 
     The two passes share nothing beyond the markers, so they may run in
     either order (or concurrently); the concatenated result equals
-    :func:`closed_form_labeling` exactly.
+    :func:`closed_form_labeling` exactly. The path's vertex labels are those
+    of :func:`path_pass`, zigzagged over its edge labels as they are
+    computed, so no tuple of them is kept beside the labeling.
     """
     markers = init_markers(params)
     cycle_labels, _ = cycle_pass(params, markers)
-    path_labels, _ = path_pass(params, markers)
-    return cycle_labels + path_labels
+    return cycle_labels + _zigzag(1, _path_run(params, markers))
 
 
 # the construction routes by their `generate --method` names

@@ -1,8 +1,8 @@
 """Serialization: JSON labeling documents (round-trippable), DOT, and CSV.
 
 The JSON document is the interchange format: ``generate`` writes it and
-``verify`` reads it back. Vertices appear in topology order (u_1..u_m then
-v_1..v_n), edges likewise (cycle edges then path edges). Edge labels are
+``verify`` reads it back. Vertices and edges appear in the topology's
+order (for a union, the cycle's and then the path's). Edge labels are
 derived data: each writer computes them as it writes with ``induced_labels``,
 which refuses a labeling without one label per vertex, and verification
 recomputes them, so tampered vertex labels are judged on substance.
@@ -12,7 +12,10 @@ recomputes them, so tampered vertex labels are judged on substance.
 field per line, non-ASCII escaped), in pieces of ``_PIECE`` entries, as
 ``dot_pieces`` and ``csv_pieces`` write DOT and CSV; ``document_to_json``,
 ``to_dot`` and ``to_csv`` are their joins, and ``generate`` takes its writer
-from ``WRITERS``. ``labeling_document`` is the document's parse.
+from ``WRITERS``. Each writer writes a vertex's name as the stem and the
+index that the topology's ``name_columns`` gives, and at the edges' ends
+``end_names``: a union's names are written from m and n, and a free graph's
+are its stored ones, so no writer keeps a name per vertex. ``labeling_document`` is the document's parse.
 ``parse_labeling_document`` accepts any JSON layout and returns
 ``build_union_graph(m, n)`` for a union document; ``read_labeling_document``
 parses a file. Both read the bytes ``generate`` writes by writing them
@@ -31,12 +34,9 @@ from itertools import chain, count, islice
 from typing import Iterable, Iterator, TextIO
 
 from .errors import DocumentError, OddGracefulError
-from .graphs import GraphTopology, Labeling, Topology, build_union_graph
+from .graphs import VERTEX_NAME, GraphTopology, Labeling, Topology, build_union_graph
 from .graphspec import read_text
 from .verification import VerificationReport, induced_labels
-
-_VERTEX_ID = re.compile(r"[uvw][1-9][0-9]*")
-
 
 # json.dumps(document, indent=2) up to the vertex list, with a slot for each size
 _HEADER = '{\n  "graph": {\n    "m": %d,\n    "n": %d\n  },\n  "q": %d,\n  "vertices": '
@@ -54,21 +54,26 @@ def _json_list(entries: Iterable[str]) -> Iterator[str]:
     yield "[]" if start == "[\n" else "\n  ]"
 
 
+def _escape(name: str) -> str:
+    """``name`` as ``json.dumps`` writes it, without its quotes."""
+    return _encode_str(name)[1:-1]
+
+
 def document_pieces(topology: Topology, labeling: Labeling) -> Iterator[str]:
     """:func:`document_to_json` in pieces of at most ``_PIECE`` list entries.
     The labeling's length is checked first, so a labeling of the wrong length
-    raises before any name is encoded; the names follow, before the first piece."""
+    raises before the first piece."""
     induced = induced_labels(topology, labeling)
-    names = list(map(_encode_str, topology.iter_names()))
+    stems, indices = topology.name_columns(_escape)
     yield _HEADER % (topology.m, topology.n, topology.q)
     yield from _json_list(
-        f'    {{\n      "id": {name},\n      "label": {label}\n    }}'
-        for name, label in zip(names, labeling)
+        f'    {{\n      "id": "{stem}{index}",\n      "label": {label}\n    }}'
+        for stem, index, label in zip(stems, indices, labeling)
     )
     yield ',\n  "edges": '
     yield from _json_list(
-        f'    {{\n      "from": {a},\n      "to": {b},\n      "label": {value}\n    }}'
-        for a, b, value in zip(*topology.ends(names), induced)
+        f'    {{\n      "from": "{a}{i}",\n      "to": "{b}{j}",\n      "label": {value}\n    }}'
+        for a, i, b, j, value in zip(*topology.end_names(_escape), induced)
     )
     yield "\n}\n"
 
@@ -139,38 +144,44 @@ class _TextReader:
         self.at = at
 
 
+def _written_numbers(source: TextIO | _TextReader) -> Iterator[Iterator[int]]:
+    """The numbers that end the lines ``source`` reads before the edge list,
+    m, n, q and the labels if it is ``document_to_json``'s text, one
+    iterator for each block read; raises ValueError if the text ends, or a
+    line runs past ``_LINE``, before the edge list."""
+    rest = ""
+    while len(rest) < _LINE and (chunk := source.read(_READ)):
+        text = rest + chunk
+        # each block of whole lines after the first starts with the newline before it
+        cut = max(text.rfind("\n"), 0)
+        lines, rest = text[:cut], text[cut:]
+        edges = lines.find('\n  "edges": ')
+        # int() refuses a number past the digit limit
+        yield map(int, _WRITTEN_NUMBER.findall(lines, 0, len(lines) if edges < 0 else edges))
+        if edges >= 0:
+            return
+    raise ValueError("no edge list")
+
+
 def _written_union(source: TextIO | _TextReader) -> tuple[Topology, Labeling] | None:
     """The parse of the text ``source`` reads if it is byte for byte what
     ``document_to_json(build_union_graph(m, n), labels)`` writes; else None.
 
     The first pass reads whole lines up to the edge list and takes the sizes
-    and the labels from them. The second reads the text from its start again,
-    a piece at a time, comparing each with the piece written in its place.
+    and the labels from them; its buffers are gone once the labels are
+    built. The second reads the text from its start again, a piece at a
+    time, comparing each with the piece written in its place.
     """
-    numbers: list[int] = []
-    rest = ""
+    numbers = chain.from_iterable(_written_numbers(source))
     try:
-        while len(rest) < _LINE and (chunk := source.read(_READ)):
-            text = rest + chunk
-            # each block of whole lines after the first starts with the newline before it
-            cut = max(text.rfind("\n"), 0)
-            lines, rest = text[:cut], text[cut:]
-            edges = lines.find('\n  "edges": ')
-            found = _WRITTEN_NUMBER.findall(lines, 0, len(lines) if edges < 0 else edges)
-            numbers += map(int, found)  # int() refuses a number past the digit limit
-            if edges >= 0:
-                break
-        else:
-            return None
-        m, n = numbers[:2]
+        m, n, _ = islice(numbers, 3)
+        labels = tuple(numbers)
         # the label count bounds m + n by the size of the text before the build
-        union = len(numbers) == m + n + 3 and build_union_graph(m, n)
+        union = len(labels) == m + n and build_union_graph(m, n)
     except (ValueError, OddGracefulError):
         return None
     if not union:
         return None
-    labels = tuple(islice(numbers, 3, None))
-    del numbers  # its list is as long as the labels, which outlive it in the tuple
     source.seek(0)
     for piece in document_pieces(union, labels):
         if source.read(len(piece)) != piece:
@@ -232,7 +243,7 @@ def _walked(text: str) -> tuple[Topology, Labeling]:
     for index, entry in enumerate(_want_list(_want(raw, "vertices", "document"), "vertices")):
         at = f"vertices[{index}]"
         name = _want_id(_want(entry, "id", at), at)
-        if not _VERTEX_ID.fullmatch(name):
+        if not VERTEX_NAME.fullmatch(name):
             raise DocumentError(f"{at}: malformed vertex id {name!r}")
         label = _want_int(_want(entry, "label", at), f"{at}.label")
         if label < 0:
@@ -284,11 +295,13 @@ def _line_pieces(*sections: Iterable[str]) -> Iterator[str]:
 def dot_pieces(topology: Topology, labeling: Labeling) -> Iterator[str]:
     """:func:`to_dot` in pieces; the labeling's length is checked first, before the names."""
     induced = induced_labels(topology, labeling)
-    names = topology.names
+    stems, indices = topology.name_columns()
     yield from _line_pieces(
         ["graph G {"],
-        (f'  {name} [label="{name}:{label}"];' for name, label in zip(names, labeling)),
-        (f"  {a} -- {b} [label={value}];" for a, b, value in zip(*topology.ends(names), induced)),
+        (f'  {stem}{index} [label="{stem}{index}:{label}"];'
+         for stem, index, label in zip(stems, indices, labeling)),
+        (f"  {a}{i} -- {b}{j} [label={value}];"
+         for a, i, b, j, value in zip(*topology.end_names(), induced)),
         ["}"],
     )
 
@@ -301,13 +314,14 @@ def to_dot(topology: Topology, labeling: Labeling) -> str:
 def csv_pieces(topology: Topology, labeling: Labeling) -> Iterator[str]:
     """:func:`to_csv` in pieces; the labeling's length is checked first, before the names."""
     induced = induced_labels(topology, labeling)
-    names = topology.names
+    stems, indices = topology.name_columns()
     yield from _line_pieces(
         ["vertex,label"],
-        (f"{name},{label}" for name, label in zip(names, labeling)),
+        (f"{stem}{index},{label}" for stem, index, label in zip(stems, indices, labeling)),
         ["edge,from,to,label"],
-        (f"e{index},{a},{b},{value}"
-         for index, a, b, value in zip(count(1), *topology.ends(names), induced)),
+        (f"e{edge},{a}{i},{b}{j},{value}"
+         for edge, a, i, b, j, value
+         in zip(count(1), *topology.end_names(), induced)),
     )
 
 

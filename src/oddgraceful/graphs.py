@@ -10,19 +10,24 @@ repeated builds with equal inputs are identical.
 
 A ``UnionTopology`` C_m + P_n holds m and n alone, checked when made: its
 equality, hash and repr read only them, and ``dataclasses.replace`` gives a
-checked union. Its names and edges follow from them, and ``ends`` gives any
-per-vertex column at the edges' two ends as slices of that column, so the
-verifier and the writers never build the edge list. A ``GraphTopology`` is a
-free graph from outside the program: it holds and checks its names and
-edges, and its ``m`` and ``n`` are 0.
+checked union. Its names and edges follow from them. ``name_columns`` gives
+each name as a stem and an index, u or v and a 1-based index made from m and
+n as they are taken, and ``end_names`` the same at the edges' two ends, so a
+writer writes a name without a stored one. ``ends`` gives any per-vertex
+column at the edges' two ends as ``islice``s of that column, which copy
+nothing, so the verifier and the writers never build the edge list. A
+``GraphTopology`` is a free graph from outside the program: it holds and
+checks its names and edges, its names are stems with an empty index, and its
+``m`` and ``n`` are 0.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     CycleTooSmallError,
@@ -31,6 +36,9 @@ from .errors import (
     PathTooShortError,
     SelfLoopError,
 )
+
+# every name a topology gives a vertex: u_i, v_j or w_k
+VERTEX_NAME = re.compile(r"[uvw][1-9][0-9]*")
 
 # One label per vertex, in the topology's vertex order. Injectivity is the
 # verifier's concern, so invalid candidates are representable on purpose.
@@ -63,9 +71,16 @@ class GraphTopology:
     def q(self) -> int:
         return len(self.edges)
 
-    def iter_names(self) -> Iterator[str]:
-        """The names in vertex order."""
-        return iter(self.names)
+    def name_columns(self, escape: Callable[[str], str] = str) -> tuple[Iterable, Iterable]:
+        """Each vertex's name as a stem and an index, in vertex order: the
+        stem is the stored name through ``escape``, and the index is empty."""
+        return map(escape, self.names), repeat("")
+
+    def end_names(self, escape: Callable[[str], str] = str) -> tuple[Iterable, ...]:
+        """The stem and the index of each edge's first end's name, then of
+        its second's, in edge order, as :meth:`name_columns` gives them."""
+        first, second = self.ends(tuple(map(escape, self.names)))
+        return first, repeat(""), second, repeat("")
 
     def ends(self, column: Sequence) -> tuple[Iterable, Iterable]:
         """The entries of a per-vertex ``column`` at each edge's first and at
@@ -87,13 +102,25 @@ class UnionTopology:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(self.iter_names())
+        return tuple(map("{}{}".format, *self.name_columns()))
 
-    def iter_names(self) -> Iterator[str]:
-        """The names in vertex order, each made as it is taken, so that a
-        writer can encode them without a tuple of every name."""
-        return chain(
-            map("u{}".format, range(1, self.m + 1)), map("v{}".format, range(1, self.n + 1))
+    def name_columns(self, escape: Callable[[str], str] = str) -> tuple[Iterable, Iterable]:
+        """Each vertex's name as a stem and an index, in vertex order: u_i is
+        u and i, v_j is v and j, made as they are taken. The stems need no
+        ``escape``."""
+        m, n = self.m, self.n
+        return chain(repeat("u", m), repeat("v", n)), chain(range(1, m + 1), range(1, n + 1))
+
+    def end_names(self, escape: Callable[[str], str] = str) -> tuple[Iterable, ...]:
+        """The stem and the index of each edge's first end's name, then of
+        its second's, in the edge order of :meth:`ends`."""
+        # u_i u_(i+1), then the closing edge u_1 u_m, then v_j v_(j+1)
+        m, n = self.m, self.n
+        return (
+            chain(repeat("u", m), repeat("v", n - 1)),
+            chain(range(1, m), (1,), range(1, n)),
+            chain(repeat("u", m), repeat("v", n - 1)),
+            chain(range(2, m + 1), (m,), range(2, n + 1)),
         )
 
     @property
@@ -109,11 +136,13 @@ class UnionTopology:
         return self.m + self.n - 1
 
     def ends(self, column: Sequence) -> tuple[Iterable, Iterable]:
+        """The entries of a per-vertex ``column`` at each edge's first and at
+        its second end, in edge order, read from the column in place."""
         # the cycle's edges (i, i + 1), its closing edge (0, m - 1), the path's (j, j + 1)
         m = self.m
         return (
-            chain(column[:m - 1], column[:1], column[m:-1]),
-            chain(column[1:m], column[m - 1:m], column[m + 1:]),
+            chain(islice(column, m - 1), islice(column, 1), islice(column, m, self.p - 1)),
+            chain(islice(column, 1, m), islice(column, m - 1, m), islice(column, m + 1, None)),
         )
 
 

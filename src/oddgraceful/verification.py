@@ -4,7 +4,8 @@ A labeling of a graph with q edges passes when the vertex labels are distinct
 values in [0, 2q-1] and the induced absolute differences over the edges are
 exactly the odd values 1, 3, ..., 2q-1, each exactly once. A pass check runs
 first: it marks the vertex labels, then the differences as they are
-computed, in two bytearrays of length 2q, and keeps no edge-label tuple.
+computed, each in a bytearray of length 2q that is released before the next
+is made, and keeps no edge-label tuple.
 Only a labeling that fails it goes through the itemizing checks, which name
 every violation. The checks accept arbitrary topologies, not just cycle-path
 unions, so the same code certifies search results.
@@ -133,12 +134,14 @@ def _passes(labeling: Labeling, induced: Iterable[int], size: int) -> bool:
         marks[label] = 1
     if marks.count(1) != len(labeling):
         return False
+    del marks  # the label marks go before the difference marks are made
     # each difference of two labels in range is below size as well
     marks = bytearray(size)
     for value in induced:
         marks[value] = 1
+    del marks[::2]  # in place: the odd marks are left
     # the size / 2 differences fill the size / 2 odd marks only if each is odd and none repeats
-    return 0 not in marks[1::2]
+    return 0 not in marks
 
 
 def _violations(

@@ -1,7 +1,9 @@
 """The union topology computes its names and edges from (m, n) alone.
 
-These tests pin the computed union to the explicit name and edge lists, and
-the edge labels taken through its slices to the labels over those edges.
+These tests pin the computed union to the explicit name and edge lists, the
+edge labels taken through its ``islice``s to the labels over those edges, and
+the text written from its name stems and indices to the text of its stored
+names.
 A union is a value of m and n: equality, hash, repr, pickle and
 ``dataclasses.replace`` read and check only those two numbers.
 """
@@ -23,6 +25,8 @@ from oddgraceful import (
     exhaustive_search,
     verify_odd_graceful,
 )
+from oddgraceful.construction import closed_form_labeling, force_params
+from oddgraceful.formats import document_to_json, to_csv, to_dot
 from oddgraceful.graphs import UnionTopology
 from oddgraceful.verification import edge_labels
 
@@ -122,3 +126,39 @@ def test_replace_checks_the_stored_tuples():
 def test_replace_refuses_names_and_edges(field):
     with pytest.raises(TypeError):
         replace(build_union_graph(4, 3), **{field: ()})
+
+
+# The writers format a union's names from stems and indices; a free graph of
+# the same names and edges writes its stored names. Both write the same text,
+# apart from the JSON header's sizes.
+@pytest.mark.parametrize("m", range(4, 41, 2))
+def test_written_names_are_the_stored_names(m):
+    for n in range(1, 61):
+        union = build_union_graph(m, n)
+        stored = GraphTopology(union.names, union.edges)
+        labeling = closed_form_labeling(force_params(m, n))
+        assert to_dot(union, labeling) == to_dot(stored, labeling), (m, n)
+        assert to_csv(union, labeling) == to_csv(stored, labeling), (m, n)
+        sizes = '"m": {},\n    "n": {}\n'
+        expected = document_to_json(stored, labeling).replace(sizes.format(0, 0), sizes.format(m, n), 1)
+        assert document_to_json(union, labeling) == expected, (m, n)
+
+
+class Entries:
+    """A column that can only be read from its start, as ``ends`` reads a union's."""
+
+    def __init__(self, entries):
+        self.entries = entries
+
+    def __iter__(self):
+        return iter(self.entries)
+
+
+def test_ends_read_the_column_without_indexing_it():
+    for m, n in SIZES[::7]:
+        topology = build_union_graph(m, n)
+        column = tuple(range(100, 100 + m + n))
+        expected = tuple(map(tuple, topology.ends(column)))
+        assert tuple(map(tuple, topology.ends(Entries(column)))) == expected, (m, n)
+        _, edges = explicit_union(m, n)
+        assert expected == tuple(tuple(column[edge[end]] for edge in edges) for end in (0, 1))
