@@ -13,7 +13,6 @@ import os
 import sys
 from typing import Iterable
 
-from .bench import bench_csv, fit, run_bench
 from .construction import (
     METHODS,
     algorithmic_labeling,
@@ -95,7 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     source = sea.add_mutually_exclusive_group(required=True)
     source.add_argument("--spec", help='graph spec, e.g. "C4+P3" (terms join disjointly)')
     source.add_argument("--edges", help="edge-list file, one 'a b' pair per line")
-    sea.add_argument("--max-nodes", type=_positive_int, default=SearchBudget.max_nodes)
+    sea.add_argument(
+        "--max-nodes", type=_positive_int, default=SearchBudget._field_defaults["max_nodes"]
+    )
     sea.add_argument("--timeout-ms", type=_positive_int, default=None)
 
     ben = sub.add_parser("bench", help="time the construction and fit a log-log slope")
@@ -203,6 +204,9 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    # here, not at the top: the other commands need neither bench nor statistics
+    from .bench import bench_csv, fit, run_bench
+
     try:
         q_values = [int(part) for part in args.q_list.split(",") if part.strip()]
     except ValueError:

@@ -20,15 +20,14 @@ the params and must agree pointwise -- the test suite enforces that.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import accumulate, cycle, islice
 from operator import mul
+from typing import NamedTuple
 
 from .graphs import Labeling, check_union_size
 
 
-@dataclass(frozen=True)
-class ConstructionParams:
+class ConstructionParams(NamedTuple):
     """A gated cycle/path size pair; build it with :func:`validate_params`.
 
     m: cycle length (even, at least 4)
@@ -80,8 +79,7 @@ def force_params(m: int, n: int) -> ConstructionParams:
     return ConstructionParams(m=m, n=n)
 
 
-@dataclass(frozen=True)
-class Markers:
+class Markers(NamedTuple):
     """Seed values computed before any vertex is touched.
 
     ``active_vertex_label`` is the exceptional label of u_m, the smallest odd

@@ -335,7 +335,7 @@ WRITERS = {"json": document_pieces, "dot": dot_pieces, "csv": csv_pieces}  # by 
 
 def violation_to_dict(violation) -> dict:
     """The violation's kind, then its fields in declaration order."""
-    return {"kind": type(violation).__name__, **vars(violation)}
+    return {"kind": type(violation).__name__, **violation._asdict()}
 
 
 def report_to_dict(report: VerificationReport, q: int) -> dict:

@@ -8,23 +8,23 @@ vertices (arbitrary graphs fed to the search oracle) ``w1, w2, ...``. The
 edge list keeps construction order (cycle edges first, then path edges), so
 repeated builds with equal inputs are identical.
 
-A ``UnionTopology`` C_m + P_n holds m and n alone, checked when made: its
-equality, hash and repr read only them, and ``dataclasses.replace`` gives a
-checked union. Its names and edges follow from them. ``name_columns`` gives
-each name as a stem and an index, u or v and a 1-based index made from m and
-n as they are taken, and ``end_names`` the same at the edges' two ends, so a
-writer writes a name without a stored one. ``ends`` gives any per-vertex
-column at the edges' two ends as ``islice``s of that column, which copy
-nothing, so the verifier and the writers never build the edge list. A
-``GraphTopology`` is a free graph from outside the program: it holds and
-checks its names and edges, its names are stems with an empty index, and its
-``m`` and ``n`` are 0.
+Both kinds are named tuples, checked when made. A ``UnionTopology`` C_m + P_n
+is the tuple (m, n): its equality, hash and repr read only them, and
+``_replace``, ``copy`` and unpickling give a checked union. Its names and
+edges follow from them. ``name_columns`` gives each name as a stem and an
+index, u or v and a 1-based index made from m and n as they are taken, and
+``end_names`` the same at the edges' two ends, so a writer writes a name
+without a stored one. ``ends`` gives any per-vertex column at the edges' two
+ends as ``islice``s of that column, which copy nothing, so the verifier and
+the writers never build the edge list. A ``GraphTopology`` is a free graph
+from outside the program: it holds and checks its names and edges, its names
+are stems with an empty index, and its ``m`` and ``n`` are 0.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
@@ -45,16 +45,15 @@ VERTEX_NAME = re.compile(r"[uvw][1-9][0-9]*")
 Labeling = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GraphTopology:
+class GraphTopology(namedtuple("GraphTopology", "names edges")):
     """A free graph: its vertex names and its edges as index pairs, checked
     on construction; ``p`` and ``q`` count the vertices and the edges."""
 
-    names: tuple[str, ...]
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ()
     m = n = 0  # a free graph is no union
 
-    def __post_init__(self):
+    def __new__(cls, names: tuple[str, ...], edges: tuple[tuple[int, int], ...]):
+        self = super().__new__(cls, names, edges)
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate vertex names in topology")
         if len(set(self.edges)) != len(self.edges):
@@ -62,6 +61,10 @@ class GraphTopology:
         for a, b in self.edges:
             if not 0 <= a < b < len(self.names):
                 raise ValueError(f"edge ({a}, {b}) is not an index pair i < j into the vertices")
+        return self
+
+    # so that _replace, like copy and unpickling, makes it through the check
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @property
     def p(self) -> int:
@@ -89,16 +92,17 @@ class GraphTopology:
         return map(at, map(itemgetter(0), self.edges)), map(at, map(itemgetter(1), self.edges))
 
 
-@dataclass(frozen=True)
-class UnionTopology:
+class UnionTopology(namedtuple("UnionTopology", "m n")):
     """C_m + P_n, holding only m and n; ``names`` and ``edges`` are computed
     on each access."""
 
-    m: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_union_size(self.m, self.n, 1)
+    def __new__(cls, m: int, n: int):
+        check_union_size(m, n, 1)
+        return super().__new__(cls, m, n)
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @property
     def names(self) -> tuple[str, ...]:

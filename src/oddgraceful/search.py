@@ -41,7 +41,8 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .graphs import Labeling, Topology
 from .verification import verify_odd_graceful
@@ -53,22 +54,23 @@ class SearchStatus(enum.Enum):
     BUDGET_EXHAUSTED = "budget-exhausted"
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(namedtuple("SearchBudget", "max_nodes time_limit_ms", defaults=(10**8, None))):
     """Node cap (and optional wall-clock cap) for one search."""
 
-    max_nodes: int = 100_000_000
-    time_limit_ms: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_nodes < 1:
             raise ValueError(f"max_nodes must be at least 1, got {self.max_nodes}")
         if self.time_limit_ms is not None and self.time_limit_ms < 1:
             raise ValueError(f"time_limit_ms must be positive, got {self.time_limit_ms}")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     """Work done by one search.
 
     nodes_expanded: placements that passed their check, one per partial labeling reached.
@@ -82,8 +84,7 @@ class SearchStats:
     proof: str | None = None
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     status: SearchStatus
     labeling: Labeling | None
     stats: SearchStats

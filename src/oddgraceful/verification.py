@@ -13,9 +13,8 @@ unions, so the same code certifies search results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import sub
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .errors import MissingVertexLabelError
 from .graphs import Labeling, Topology
@@ -28,8 +27,7 @@ def _edge_text(edge: EdgeNames) -> str:
     return f"{edge[0]}-{edge[1]}"
 
 
-@dataclass(frozen=True)
-class DuplicateVertexLabel:
+class DuplicateVertexLabel(NamedTuple):
     label: int
     vertices: tuple[str, ...]
 
@@ -38,8 +36,7 @@ class DuplicateVertexLabel:
         return f"vertex label {self.label} shared by {holders}"
 
 
-@dataclass(frozen=True)
-class VertexLabelOutOfRange:
+class VertexLabelOutOfRange(NamedTuple):
     vertex: str
     label: int
     upper: int
@@ -48,8 +45,7 @@ class VertexLabelOutOfRange:
         return f"vertex {self.vertex} has label {self.label} outside [0, {self.upper}]"
 
 
-@dataclass(frozen=True)
-class EdgeLabelEven:
+class EdgeLabelEven(NamedTuple):
     edge: EdgeNames
     label: int
 
@@ -57,8 +53,7 @@ class EdgeLabelEven:
         return f"edge {_edge_text(self.edge)} has even label {self.label}"
 
 
-@dataclass(frozen=True)
-class DuplicateEdgeLabel:
+class DuplicateEdgeLabel(NamedTuple):
     label: int
     edges: tuple[EdgeNames, ...]
 
@@ -67,8 +62,7 @@ class DuplicateEdgeLabel:
         return f"edge label {self.label} induced by {holders}"
 
 
-@dataclass(frozen=True)
-class EdgeLabelSetIncomplete:
+class EdgeLabelSetIncomplete(NamedTuple):
     missing: tuple[int, ...]
 
     def describe(self) -> str:
@@ -85,8 +79,7 @@ Violation = Union[
 ]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     is_odd_graceful: bool
     violations: tuple[Violation, ...]
 

@@ -24,15 +24,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def child_env():
+    """This environment, with ``src`` first on a child's ``PYTHONPATH``."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def run_module(*argv, **kwargs):
     """Run ``python -m oddgraceful`` in a child process, its output captured."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     kwargs.setdefault("stdout", subprocess.PIPE)
     kwargs.setdefault("stderr", subprocess.PIPE)
     return subprocess.run(
         [sys.executable, "-m", "oddgraceful", *argv],
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
         timeout=300,
         **kwargs,
     )
@@ -726,6 +731,21 @@ SURFACE = {
         (("--out",), "out", None, None, False, None, "output file (default: stdout)"),
     ],
 }
+
+
+class TestStartUp:
+    def test_import_loads_no_dataclasses_inspect_or_statistics(self):
+        # -S: site imports modules of its own before the package is imported
+        probe = (
+            "import sys, oddgraceful.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'statistics'} & set(sys.modules)))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", probe],
+            capture_output=True, text=True, env=child_env(), timeout=300,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == "[]\n"
 
 
 class TestSurface:

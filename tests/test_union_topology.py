@@ -4,13 +4,14 @@ These tests pin the computed union to the explicit name and edge lists, the
 edge labels taken through its ``islice``s to the labels over those edges, and
 the text written from its name stems and indices to the text of its stored
 names.
-A union is a value of m and n: equality, hash, repr, pickle and
-``dataclasses.replace`` read and check only those two numbers.
+A union is the named tuple (m, n): equality, hash, repr, pickle, ``copy``
+and ``_replace`` read and check only those two numbers, and so does
+unpickling or copying a union forged past its check.
 """
 
+import copy
 import pickle
 import random
-from dataclasses import fields, replace
 
 import pytest
 
@@ -78,7 +79,8 @@ def test_search_finds_a_verified_certificate():
 def test_the_union_stores_only_its_sizes():
     topology = build_union_graph(8, 10**9)
     assert type(topology) is UnionTopology
-    assert vars(topology) == {"m": 8, "n": 10**9}
+    assert topology._asdict() == {"m": 8, "n": 10**9}
+    assert not hasattr(topology, "__dict__")  # nothing stored beside the two fields
     assert (topology.p, topology.q) == (8 + 10**9, 8 + 10**9 - 1)
 
 
@@ -90,7 +92,7 @@ def test_value_semantics_read_only_the_sizes():
     assert hash(topology) == hash(build_union_graph(8, 10**9))
     assert repr(topology) == "UnionTopology(m=8, n=1000000000)"
     assert pickle.loads(pickle.dumps(topology)) == topology
-    assert [field.name for field in fields(GraphTopology)] == ["names", "edges"]
+    assert GraphTopology._fields == ("names", "edges")
 
 
 # A changed union is built again from its new sizes, so its names and edges
@@ -105,7 +107,7 @@ def test_value_semantics_read_only_the_sizes():
 )
 def test_replace_gives_a_topology_with_stored_tuples(change):
     union = build_union_graph(4, 3)
-    changed = replace(union, **change)
+    changed = union._replace(**change)
     m, n = change.get("m", 4), change.get("n", 3)
     assert type(changed) is UnionTopology
     assert changed == build_union_graph(m, n)
@@ -115,17 +117,31 @@ def test_replace_gives_a_topology_with_stored_tuples(change):
 def test_replace_checks_the_stored_tuples():
     union = build_union_graph(4, 3)
     with pytest.raises(OddCycleError):
-        replace(union, m=3)
+        union._replace(m=3)
     with pytest.raises(CycleTooSmallError):
-        replace(union, m=0)
+        union._replace(m=0)
     with pytest.raises(PathTooShortError):
-        replace(union, n=0)
+        union._replace(n=0)
 
 
 @pytest.mark.parametrize("field", ["names", "edges"])
 def test_replace_refuses_names_and_edges(field):
-    with pytest.raises(TypeError):
-        replace(build_union_graph(4, 3), **{field: ()})
+    with pytest.raises(ValueError, match=f"unexpected field names: \\['{field}'\\]"):
+        build_union_graph(4, 3)._replace(**{field: ()})
+
+
+@pytest.mark.parametrize(
+    "remake",
+    [
+        pytest.param(lambda union: pickle.loads(pickle.dumps(union)), id="pickle"),
+        pytest.param(copy.copy, id="copy"),
+        pytest.param(copy.deepcopy, id="deepcopy"),
+    ],
+)
+def test_a_forged_union_is_checked_when_remade(remake):
+    forged = tuple.__new__(UnionTopology, (3, 5))  # past the check in __new__
+    with pytest.raises(OddCycleError):
+        remake(forged)
 
 
 # The writers format a union's names from stems and indices; a free graph of
